@@ -40,7 +40,14 @@ from .network import (
     grl_backward,
     grl_forward,
 )
-from .numerics import finite_diff_grad, make_rng, matmul, relative_error, softmax_rows
+from .numerics import (
+    NonFiniteError,
+    finite_diff_grad,
+    make_rng,
+    matmul,
+    relative_error,
+    softmax_rows,
+)
 from .projection import ProjectedFeatures, bimodality_score, export_scatter, pca_fit, project_features
 from .sweeps import SweepCell, SweepResult, sweep, sweep_csv
 from .training import (

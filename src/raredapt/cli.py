@@ -22,6 +22,7 @@ metrics), and train.log.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -214,7 +215,30 @@ def cmd_train(args) -> int:
 _SWEEP_STATE: dict = {}
 
 
-def _sweep_worker_init(data_path: str) -> None:
+def _single_thread_blas() -> None:
+    """Cap the OpenBLAS that numpy loaded at one thread; do nothing if it is not found.
+
+    Each forked sweep worker inherits a BLAS pool as wide as the machine, so
+    ``--jobs`` workers would run jobs x nproc BLAS threads on nproc cores.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
+def _sweep_worker_init(data_path: str, jobs: int) -> None:
+    if jobs > 1:
+        _single_thread_blas()
     _SWEEP_STATE["dataset"] = load_csv(data_path)
 
 
@@ -243,6 +267,8 @@ def cmd_sweep(args) -> int:
     seeds = _parse_int_list(args.seeds, "seeds")
     if not counts or not seeds:
         raise CliError("need at least one count and one seed")
+    if len(set(seeds)) != len(seeds):
+        raise CliError(f"seeds must be distinct, got {seeds}")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise CliError(f"counts must be strictly increasing, got {counts}")
     base = _build_train_config(args)
@@ -261,11 +287,11 @@ def cmd_sweep(args) -> int:
             )
     if args.jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_sweep_worker_init, initargs=(args.data,)
+            max_workers=args.jobs, initializer=_sweep_worker_init, initargs=(args.data, args.jobs)
         ) as pool:
             results = list(pool.map(_sweep_run_one, jobs))
     else:
-        _sweep_worker_init(args.data)
+        _sweep_worker_init(args.data, args.jobs)
         results = [_sweep_run_one(job) for job in jobs]
 
     by_key = {(r["count"], r["seed"]): r for r in results}

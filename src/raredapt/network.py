@@ -10,6 +10,15 @@ Backprop is written out by hand against cached forward traces. The fixed
 architecture makes this short, and it keeps the reversal sign-flip explicit
 and auditable; every gradient in here is validated against central finite
 differences in the test suite.
+
+Parameter layout: all weights and biases of a ``Network`` live in one
+contiguous float64 vector ``params`` and their gradients in a second one,
+``grads``, of the same length. Every weight matrix comes first, in
+``parameters()`` order, then every bias in the same order, so the weights are
+the leading ``weight_size`` elements. Each ``Layer.w/b/gw/gb`` is a reshaped
+view into those vectors: forward and backward read and accumulate through the
+views, while whole-model operations (the optimizer step, zeroing gradients,
+snapshots, loading state) are single vector operations.
 """
 
 from __future__ import annotations
@@ -147,11 +156,37 @@ class Network:
     Gradients accumulate into per-layer buffers across backward calls until
     ``zero_grads``; a training step may therefore combine several partial
     backward passes (e.g. separate source and target batches).
+
+    The constructor copies the given layers' arrays into the flat ``params``
+    vector (see the module docstring) and rebinds each layer's ``w``/``b``/
+    ``gw``/``gb`` to views into ``params`` and ``grads``. Write parameters in
+    place (``layer.w[...] = ...``): assigning a new array to ``layer.w``
+    detaches it from the buffer the optimizer steps.
     """
 
     def __init__(self, spec: NetworkSpec, parts: dict[str, list[Layer]]):
         self.spec = spec
         self.parts = parts
+        layers = list(self.parameters())
+        arrays = [(f"{n}.{i}.{a}", layer, a) for a in ("w", "b") for n, i, layer in layers]
+        sizes = [np.size(getattr(layer, a)) for _, layer, a in arrays]
+        self.weight_size = sum(sizes[: len(layers)])
+        self.params = np.empty(sum(sizes))
+        self.grads = np.zeros(sum(sizes))
+        slots = {}
+        start = 0
+        for (key, layer, attr), size in zip(arrays, sizes):
+            value = np.asarray(getattr(layer, attr), dtype=np.float64)
+            span = slice(start, start + size)
+            self.params[span] = value.ravel()
+            setattr(layer, attr, self.params[span].reshape(value.shape))
+            setattr(layer, "g" + attr, self.grads[span].reshape(value.shape))
+            slots[key] = (span, value.shape)
+            start += size
+        # '<part>.<i>.<w|b>' -> (slice of params/grads, shape), in parameters() order
+        self.slots = {
+            f"{n}.{i}.{a}": slots[f"{n}.{i}.{a}"] for n, i, _ in layers for a in ("w", "b")
+        }
 
     @classmethod
     def initialize(cls, spec: NetworkSpec, rng: np.random.Generator) -> "Network":
@@ -248,7 +283,8 @@ class Network:
         The classifier path accumulates unmodified; the discriminator path is
         negated and scaled by ``grl_scale`` on its way into the extractor.
         ``discriminator_rows`` maps discriminator batch rows onto rows of the
-        extractor batch when only a routed subset reached the discriminator.
+        extractor batch when only a routed subset reached the discriminator;
+        it must be strictly increasing, as ``route_delta`` produces it.
         ``dfeatures`` adds an extra gradient directly on the features (used by
         feature-level alignment losses). At least one source must be present.
         """
@@ -276,7 +312,10 @@ class Network:
                 )
             if rows.size and (rows.min() < 0 or rows.max() >= n):
                 raise ValueError(f"discriminator row map out of range [0, {n})")
-            np.add.at(dfeat, rows, grl_backward(g, grl_scale))
+            # a fancy-index add applies each row once, so rows must be unique
+            if (rows[1:] <= rows[:-1]).any():
+                raise ValueError("discriminator row map must be strictly increasing")
+            dfeat[rows] += grl_backward(g, grl_scale)
             got_term = True
         if dfeatures is not None:
             dfeat += dfeatures
@@ -288,9 +327,7 @@ class Network:
     # -- parameter access --------------------------------------------------
 
     def zero_grads(self) -> None:
-        for _, _, layer in self.parameters():
-            layer.gw[...] = 0.0
-            layer.gb[...] = 0.0
+        self.grads.fill(0.0)
 
     def parameters(self) -> Iterator[tuple[str, int, Layer]]:
         """Yield (part name, layer index, layer) in a fixed, documented order."""
@@ -299,26 +336,26 @@ class Network:
                 yield name, i, layer
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all weights/biases keyed '<part>.<i>.<w|b>'."""
-        state = {}
-        for name, i, layer in self.parameters():
-            state[f"{name}.{i}.w"] = layer.w.copy()
-            state[f"{name}.{i}.b"] = layer.b.copy()
-        return state
+        """Copies of all weights/biases keyed '<part>.<i>.<w|b>'.
+
+        The values are views into one copy of ``params``.
+        """
+        flat = self.params.copy()
+        return {key: flat[span].reshape(shape) for key, (span, shape) in self.slots.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, i, layer in self.parameters():
-            for attr in ("w", "b"):
-                key = f"{name}.{i}.{attr}"
-                if key not in state:
-                    raise KeyError(f"missing parameter {key}")
-                arr = np.asarray(state[key], dtype=np.float64)
-                if arr.shape != getattr(layer, attr).shape:
-                    raise ValueError(
-                        f"shape mismatch for {key}: {arr.shape} != {getattr(layer, attr).shape}"
-                    )
-                setattr(layer, attr, arr.copy())
-        layer_keys = {f"{n}.{i}.{a}" for n, i, _ in self.parameters() for a in ("w", "b")}
-        extra = set(state) - layer_keys
+        """Write a ``snapshot``-style dict into ``params``; nothing is written
+        unless every key is present, known and of the right shape."""
+        values = []
+        for key, (span, shape) in self.slots.items():
+            if key not in state:
+                raise KeyError(f"missing parameter {key}")
+            arr = np.asarray(state[key], dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"shape mismatch for {key}: {arr.shape} != {shape}")
+            values.append((span, arr))
+        extra = set(state) - set(self.slots)
         if extra:
             raise ValueError(f"unexpected parameters: {sorted(extra)}")
+        for span, arr in values:
+            self.params[span] = arr.ravel()

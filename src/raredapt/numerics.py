@@ -26,10 +26,14 @@ def make_rng(seed: int, *stream_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *stream_key])))
 
 
+class NonFiniteError(ValueError):
+    """An array that must be finite holds NaN or Inf."""
+
+
 def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    """Raise if ``arr`` contains NaN or Inf; returns ``arr`` unchanged."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite values in {what}")
+    """Raise NonFiniteError if ``arr`` contains NaN or Inf; returns ``arr`` unchanged."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"non-finite values in {what}")
     return arr
 
 

@@ -35,7 +35,7 @@ from .losses import (
 )
 from .metrics import RunMetrics, evaluate
 from .network import Network, default_network_spec
-from .numerics import make_rng
+from .numerics import NonFiniteError, make_rng
 
 _INIT_STREAM = 20
 _JITTER_STREAM = 21
@@ -132,45 +132,52 @@ class TrainConfig:
 class Adam:
     """Adam with bias correction and classical L2 on the weight matrices.
 
-    The L2 term is added to the gradient before the moment updates (weight
-    decay inside the loss, not the decoupled variant) and is applied to
-    weights only, never biases. Classifier-head layers use the base learning
-    rate times ``head_lr_multiplier``; every parameter of every part is
-    stepped on every call so ablated methods stay on identical trajectories.
+    One fused update of the network's flat parameter vector (see
+    :mod:`raredapt.network`). The L2 term is added to the gradient before the
+    moment updates (weight decay inside the loss, not the decoupled variant)
+    and is applied to weights only, never biases: its mask is the leading
+    ``net.weight_size`` elements, where the layout keeps every weight matrix.
+    The learning rate is a per-element vector, the base rate times
+    ``head_lr_multiplier`` on classifier-head elements. Every parameter of
+    every part is stepped on every call so ablated methods stay on identical
+    trajectories, and every element goes through the same floating-point
+    operations in the same order as a per-array update, so results are
+    bit-identical to one.
+
+    ``step`` checks the whole gradient for non-finite values once, before it
+    changes any parameter or moment: a divergence leaves the network and the
+    optimizer state exactly as they were.
     """
 
     def __init__(self, net: Network, config: TrainConfig):
         self.net = net
         self.config = config
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        for part, i, layer in net.parameters():
-            for attr in ("w", "b"):
-                key = f"{part}.{i}.{attr}"
-                self._m[key] = np.zeros_like(getattr(layer, attr))
-                self._v[key] = np.zeros_like(getattr(layer, attr))
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
+        self.lr = np.full_like(net.params, config.learning_rate)
+        for key, (span, _) in net.slots.items():
+            if key.startswith("classifier."):
+                self.lr[span] = config.learning_rate * config.head_lr_multiplier
 
     def step(self) -> None:
         cfg = self.config
+        net = self.net
+        weights = slice(0, net.weight_size)
+        g = net.grads.copy()
+        g[weights] += cfg.l2 * net.params[weights]
+        finite = np.isfinite(g)
+        if not finite.all():
+            key = next(k for k, (span, _) in net.slots.items() if not finite[span].all())
+            raise TrainingDiverged(f"non-finite gradient in {key} at step {self.t + 1}")
         self.t += 1
         bc1 = 1.0 - cfg.beta1**self.t
         bc2 = 1.0 - cfg.beta2**self.t
-        for part, i, layer in self.net.parameters():
-            lr = cfg.learning_rate
-            if part == "classifier":
-                lr *= cfg.head_lr_multiplier
-            for attr, grad_attr in (("w", "gw"), ("b", "gb")):
-                key = f"{part}.{i}.{attr}"
-                param = getattr(layer, attr)
-                g = getattr(layer, grad_attr)
-                if attr == "w":
-                    g = g + cfg.l2 * param
-                if not np.all(np.isfinite(g)):
-                    raise TrainingDiverged(f"non-finite gradient in {key} at step {self.t}")
-                m = self._m[key] = cfg.beta1 * self._m[key] + (1.0 - cfg.beta1) * g
-                v = self._v[key] = cfg.beta2 * self._v[key] + (1.0 - cfg.beta2) * g * g
-                param -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        self.m *= cfg.beta1
+        self.m += (1.0 - cfg.beta1) * g
+        self.v *= cfg.beta2
+        self.v += (1.0 - cfg.beta2) * g * g
+        net.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.adam_eps)
 
 
 @dataclass
@@ -232,10 +239,8 @@ class _Totals:
             self.coral_n += 1
 
     def record_discriminator(self, preds: np.ndarray, labels: np.ndarray) -> None:
-        for domain in (0, 1):
-            mask = labels == domain
-            self.disc_correct[domain] += int(np.sum(preds[mask] == domain))
-            self.disc_total[domain] += int(mask.sum())
+        self.disc_correct += np.bincount(labels[preds == labels], minlength=2)
+        self.disc_total += np.bincount(labels, minlength=2)
 
     def summary(self) -> dict[str, float]:
         present = self.disc_total > 0
@@ -261,25 +266,32 @@ def _train_batch(
     jitter_rng: np.random.Generator,
     totals: _Totals,
 ) -> None:
+    """Forward and backward passes of one step; leaves the gradients in ``net``.
+
+    Every method classifies the source batch. A method with a target set
+    also forwards the target batch and adds its alignment term: the domain
+    confusion of the routed rows behind the reversal layer (deerdann,
+    alldann), or the covariance alignment of logits or features (deercoral).
+    Raises TrainingDiverged on a non-finite loss, before any backward pass.
+    """
     xs = pair.source.features
-    if config.feature_jitter > 0:
+    xt = None if pair.target is None else pair.target.features
+    if config.feature_jitter > 0:  # source noise is drawn first, then target
         xs = xs + jitter_rng.standard_normal(xs.shape) * config.feature_jitter
-    n = xs.shape[0]
+        if xt is not None:
+            xt = xt + jitter_rng.standard_normal(xt.shape) * config.feature_jitter
     net.zero_grads()
     f_src, tr_f_src = net.forward_features(xs)
     logits_src, tr_c_src = net.forward_classifier(f_src)
     classification = cross_entropy(logits_src, pair.source.class_ids)
-    dlogits_c_src = classification.dlogits
+    source = dict(classifier_trace=tr_c_src, dlogits_classifier=classification.dlogits)
+    target: dict = {}
+    composite = classification.value
+    confusion = coral = None
 
     if config.method in ("deerdann", "alldann"):
-        xt = pair.target.features
-        if config.feature_jitter > 0:
-            xt = xt + jitter_rng.standard_normal(xt.shape) * config.feature_jitter
         f_tgt, tr_f_tgt = net.forward_features(xt)
         rs, rt = pair.routed_source_rows, pair.routed_target_rows
-        confusion = None
-        tr_d_src = tr_d_tgt = None
-        d_src = d_tgt = None
         if rs.size + rt.size > 0:
             blocks = []
             if rs.size:
@@ -293,77 +305,60 @@ def _train_batch(
             confusion = domain_confusion(stacked, labels)
             totals.record_discriminator(np.argmax(stacked, axis=1), labels)
             dlogits_d = config.domain_weight * confusion.dlogits
-            d_src = dlogits_d[: rs.size] if rs.size else None
-            d_tgt = dlogits_d[rs.size :] if rt.size else None
-        net.backward(
-            tr_f_src,
-            classifier_trace=tr_c_src,
-            dlogits_classifier=dlogits_c_src,
-            discriminator_trace=tr_d_src,
-            dlogits_discriminator=d_src,
-            discriminator_rows=rs if rs.size else None,
-            grl_scale=grl_scale,
-        )
-        if rt.size:
-            net.backward(
-                tr_f_tgt,
-                discriminator_trace=tr_d_tgt,
-                dlogits_discriminator=d_tgt,
-                discriminator_rows=rt,
-                grl_scale=grl_scale,
-            )
+            if rs.size:
+                source.update(
+                    discriminator_trace=tr_d_src,
+                    dlogits_discriminator=dlogits_d[: rs.size],
+                    discriminator_rows=rs,
+                    grl_scale=grl_scale,
+                )
+            if rt.size:
+                target = dict(
+                    discriminator_trace=tr_d_tgt,
+                    dlogits_discriminator=dlogits_d[rs.size :],
+                    discriminator_rows=rt,
+                    grl_scale=grl_scale,
+                )
         composite = composite_dann(classification, confusion, config.domain_weight)
-        totals.record(
-            classification.value,
-            n,
-            composite,
-            dom=None if confusion is None else confusion.value,
-            dom_n=0 if confusion is None else confusion.n_terms,
-        )
     elif config.method == "deercoral":
-        xt = pair.target.features
-        if config.feature_jitter > 0:
-            xt = xt + jitter_rng.standard_normal(xt.shape) * config.feature_jitter
         f_tgt, tr_f_tgt = net.forward_features(xt)
-        logits_tgt, tr_c_tgt = net.forward_classifier(f_tgt)
+        weight = config.coral_weight
         if config.coral_layer == "logits":
+            logits_tgt, tr_c_tgt = net.forward_classifier(f_tgt)
             coral = coral_loss(logits_src, logits_tgt)
-            net.backward(
-                tr_f_src,
-                classifier_trace=tr_c_src,
-                dlogits_classifier=dlogits_c_src + config.coral_weight * coral.d_source,
-            )
-            net.backward(
-                tr_f_tgt,
-                classifier_trace=tr_c_tgt,
-                dlogits_classifier=config.coral_weight * coral.d_target,
-            )
+            source["dlogits_classifier"] = classification.dlogits + weight * coral.d_source
+            target = dict(classifier_trace=tr_c_tgt, dlogits_classifier=weight * coral.d_target)
         else:
             coral = coral_loss(f_src, f_tgt)
-            net.backward(
-                tr_f_src,
-                classifier_trace=tr_c_src,
-                dlogits_classifier=dlogits_c_src,
-                dfeatures=config.coral_weight * coral.d_source,
-            )
-            net.backward(tr_f_tgt, dfeatures=config.coral_weight * coral.d_target)
-        composite = composite_coral(classification, coral, config.coral_weight)
-        totals.record(classification.value, n, composite, coral=coral.value)
-    else:
-        net.backward(
-            tr_f_src, classifier_trace=tr_c_src, dlogits_classifier=dlogits_c_src
-        )
-        totals.record(classification.value, n, classification.value)
+            source["dfeatures"] = weight * coral.d_source
+            target = dict(dfeatures=weight * coral.d_target)
+        composite = composite_coral(classification, coral, weight)
 
-    if not math.isfinite(classification.value):
-        raise TrainingDiverged("non-finite classification loss")
+    if not math.isfinite(composite):
+        raise TrainingDiverged(
+            f"non-finite loss (classification {classification.value!r}, composite {composite!r})"
+        )
+    net.backward(tr_f_src, **source)
+    if target:
+        net.backward(tr_f_tgt, **target)
+    totals.record(
+        classification.value,
+        xs.shape[0],
+        composite,
+        dom=None if confusion is None else confusion.value,
+        dom_n=0 if confusion is None else confusion.n_terms,
+        coral=None if coral is None else coral.value,
+    )
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[EpochRecord]]:
     """Run the full optimization; returns the selected checkpoint and history.
 
     Deterministic: identical dataset + config reproduce the history and the
-    selected parameters bit for bit.
+    selected parameters bit for bit. A non-finite loss, activation or gradient
+    raises TrainingDiverged naming the epoch and batch, before the optimizer
+    changes anything; other errors, such as a label out of range, propagate
+    unchanged.
     """
     net_spec = default_network_spec(
         dataset.feature_dim,
@@ -394,7 +389,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
             try:
                 _train_batch(net, pair, config, grl_scale, jitter_rng, totals)
                 opt.step()
-            except (TrainingDiverged, ValueError) as exc:
+            except (TrainingDiverged, NonFiniteError) as exc:
                 raise TrainingDiverged(
                     f"run aborted at epoch {epoch} batch {batch_i}: {exc}"
                 ) from exc

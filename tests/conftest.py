@@ -54,7 +54,7 @@ def make_gradcheck_net(seed: int) -> tuple[Network, np.random.Generator]:
     rng = make_rng(seed, 99)
     net = Network.initialize(micro_spec(rng), rng)
     for _, _, layer in net.parameters():
-        layer.b = rng.standard_normal(layer.b.shape) * 0.3
+        layer.b[...] = rng.standard_normal(layer.b.shape) * 0.3
     return net, rng
 
 

@@ -203,6 +203,13 @@ def test_backward_rejects_bad_row_map():
             dlogits_discriminator=np.ones((2, 2)),
             discriminator_rows=np.array([0, 7]),
         )
+    with pytest.raises(ValueError, match="strictly increasing"):
+        net.backward(
+            tr_f,
+            discriminator_trace=tr_d,
+            dlogits_discriminator=np.ones((2, 2)),
+            discriminator_rows=np.array([1, 1]),
+        )
     with pytest.raises(ValueError, match="at least one gradient"):
         net.backward(tr_f)
 

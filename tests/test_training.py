@@ -111,6 +111,24 @@ def test_adam_aborts_on_non_finite_gradient():
         opt.step()
 
 
+def test_adam_non_finite_gradient_leaves_state_untouched():
+    rng = make_rng(5)
+    spec = NetworkSpec(MlpSpec(3, (4,), 2), MlpSpec(2, (), 3), MlpSpec(2, (3,), 2))
+    net = Network.initialize(spec, rng)
+    opt = Adam(net, TrainConfig(method="baseline"))
+    net.grads[...] = rng.standard_normal(net.grads.shape)
+    opt.step()  # non-zero moments, so an update would change them
+    params, m, v = net.snapshot(), opt.m.copy(), opt.v.copy()
+    net.grads[...] = rng.standard_normal(net.grads.shape)
+    net.parts["discriminator"][-1].gb[1] = np.nan
+    with pytest.raises(TrainingDiverged, match=r"discriminator\.1\.b at step 2"):
+        opt.step()
+    for key, value in net.snapshot().items():
+        assert np.array_equal(value, params[key]), key
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    assert opt.t == 1
+
+
 def test_select_epoch_constraint_and_tiebreak():
     rule = SelectionRule(tolerance_points=1.0)
     rare = [0.2, 0.9, 0.5, 0.9]
@@ -175,6 +193,23 @@ def test_train_aborts_with_diagnostic_on_divergence(tiny_dataset):
     )
     with pytest.raises(TrainingDiverged, match=r"epoch \d+ batch \d+"):
         train(tiny_dataset, cfg)
+
+
+def test_train_forced_divergence_names_epoch_and_batch(tiny_dataset):
+    cfg = TrainConfig(
+        method="deerdann", epochs=2, synthetic_count=40, batch_size=32, learning_rate=1e6
+    )
+    with pytest.raises(TrainingDiverged, match=r"run aborted at epoch \d+ batch \d+: non-finite"):
+        train(tiny_dataset, cfg)
+
+
+def test_train_mislabelled_batch_raises_plain_value_error():
+    dataset = generate(tiny_gen_spec())
+    dataset.class_ids[dataset.train_real_indices()[0]] = dataset.num_classes  # out of range
+    cfg = TrainConfig(method="baseline", epochs=1, synthetic_count=0, batch_size=32)
+    with pytest.raises(ValueError, match="label out of range") as info:
+        train(dataset, cfg)
+    assert not isinstance(info.value, TrainingDiverged)
 
 
 def test_grl_ramp_schedule():
