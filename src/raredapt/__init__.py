@@ -13,7 +13,6 @@ from .data import (
     DataFormatError,
     Dataset,
     GenSpec,
-    Sample,
     class_histogram,
     datasets_equal,
     generate,
@@ -38,22 +37,18 @@ from .network import (
     NetworkSpec,
     default_network_spec,
     grl_backward,
-    grl_forward,
 )
 from .numerics import (
     NonFiniteError,
     finite_diff_grad,
     make_rng,
-    matmul,
     relative_error,
     softmax_rows,
 )
 from .projection import ProjectedFeatures, bimodality_score, export_scatter, pca_fit, project_features
-from .sweeps import SweepCell, SweepResult, sweep, sweep_csv
 from .training import (
     Adam,
     EpochRecord,
-    SelectionRule,
     TrainConfig,
     TrainingDiverged,
     select_epoch,

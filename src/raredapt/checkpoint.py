@@ -6,7 +6,7 @@ Byte layout (all integers little-endian):
     0       8     magic b"RDCKPT01" (format name + version)
     8       4     u32 header length H
     12      H     header JSON, UTF-8: format_version, config_hash, epoch,
-                  metrics snapshot, network part shapes, array count
+                  network part shapes, array count
     12+H    ...   array records, repeated array-count times:
                       u16 name length, name UTF-8,
                       u8 ndim, ndim x u64 dims,
@@ -17,6 +17,11 @@ is bit-identical to the pre-save network. A human-readable sidecar
 ``<path>.meta.json`` mirrors the header. Loading verifies the magic, the
 declared lengths, and that the file ends exactly after the last array;
 truncated or corrupt files raise without returning partial state.
+
+The header holds no metrics snapshot; a run directory's
+``selected_metrics.json`` records the selected epoch's metrics. Loading reads
+only the header keys it needs, so older files whose header still carries a
+``metrics`` key load unchanged.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ class Checkpoint:
     network_spec: NetworkSpec
     epoch: int
     config_hash: str
-    metrics: dict
 
     def build_network(self) -> Network:
         net = Network.initialize(self.network_spec, np.random.default_rng(0))
@@ -92,7 +96,6 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
         "format_version": FORMAT_VERSION,
         "config_hash": cp.config_hash,
         "epoch": cp.epoch,
-        "metrics": cp.metrics,
         "network": _spec_to_dict(cp.network_spec),
         "array_count": len(names),
     }
@@ -165,5 +168,4 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> Checkpoint:
         network_spec=_spec_from_dict(header["network"]),
         epoch=int(header["epoch"]),
         config_hash=header["config_hash"],
-        metrics=header["metrics"],
     )

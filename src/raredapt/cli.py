@@ -17,6 +17,13 @@ A train run directory contains: config.json (resolved config + dataset
 reference), checkpoint.ckpt (+ .meta.json sidecar), history.csv (per-epoch
 losses and split metrics), selected_metrics.json (the selected checkpoint's
 metrics), and train.log.
+
+A sweep directory holds one train run directory per (count, seed) cell under
+cells/<method>_count<N>_seed<S>/, and the learning curve sweep_<method>.csv
+with one row per successful cell (columns SWEEP_CSV_COLUMNS; a NaN metric is
+written as an empty cell). A cell that fails gets no curve row; its error
+message goes to failures.json under the key count<N>_seed<S>, and the sweep
+still exits 0. A cell whose training fails writes no directory.
 """
 
 from __future__ import annotations
@@ -33,13 +40,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import SPLITS, DataFormatError, Dataset, GenSpec, class_histogram, generate, load_csv, save_csv
+from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .data import SPLITS, DataFormatError, GenSpec, class_histogram, generate, load_csv, save_csv
 from .domains import METHODS
 from .metrics import TABLE_COLUMNS, comparison_table, table_row
 from .projection import bimodality_score, export_scatter, project_features
-from .sweeps import SWEEP_CSV_COLUMNS
 from .training import EpochRecord, TrainConfig, TrainingDiverged, train
+
+SWEEP_CSV_COLUMNS = (
+    "count",
+    "seed",
+    "trans_rare_acc",
+    "trans_other_avg",
+    "cis_rare_acc",
+    "cis_other_avg",
+)
 
 _TUPLE_FIELDS = {"feature_dims", "classifier_hidden", "discriminator_hidden", "train_counts"}
 
@@ -149,7 +164,8 @@ def _selected_metrics_payload(config: TrainConfig, checkpoint: Checkpoint, histo
     }
 
 
-def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, history) -> None:
+def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, history) -> dict:
+    """Write one run directory; return its ``selected_metrics.json`` payload."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
         json.dumps(
@@ -166,10 +182,9 @@ def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, histor
     )
     save_checkpoint(checkpoint, out / "checkpoint.ckpt")
     (out / "history.csv").write_text(_history_csv(history), encoding="utf-8")
+    selected = _selected_metrics_payload(config, checkpoint, history)
     (out / "selected_metrics.json").write_text(
-        json.dumps(_selected_metrics_payload(config, checkpoint, history), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
+        json.dumps(selected, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     log_lines = []
     for rec in history:
@@ -181,6 +196,7 @@ def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, histor
         )
     log_lines.append(f"selected epoch {checkpoint.epoch}")
     (out / "train.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    return selected
 
 
 def cmd_gen_data(args) -> int:
@@ -239,20 +255,18 @@ def _single_thread_blas() -> None:
 def _sweep_worker_init(data_path: str, jobs: int) -> None:
     if jobs > 1:
         _single_thread_blas()
+    _SWEEP_STATE["data"] = data_path
     _SWEEP_STATE["dataset"] = load_csv(data_path)
 
 
-def _sweep_run_one(job: dict) -> dict:
-    dataset: Dataset = _SWEEP_STATE["dataset"]
-    config = TrainConfig(**job["config"])
-    out = Path(job["out"])
+def _sweep_run_one(job: tuple[TrainConfig, Path]) -> dict | str:
+    """One sweep cell: its ``selected_metrics.json`` payload, or its error message."""
+    config, out = job
     try:
-        checkpoint, history = train(dataset, config)
-        _write_run_dir(out, job["data"], config, checkpoint, history)
-        payload = _selected_metrics_payload(config, checkpoint, history)
-        return {"count": config.synthetic_count, "seed": config.seed, "metrics": payload}
+        checkpoint, history = train(_SWEEP_STATE["dataset"], config)
+        return _write_run_dir(out, _SWEEP_STATE["data"], config, checkpoint, history)
     except Exception as exc:  # per-cell failure: record, keep sweeping
-        return {"count": config.synthetic_count, "seed": config.seed, "error": str(exc)}
+        return str(exc)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -269,22 +283,21 @@ def cmd_sweep(args) -> int:
         raise CliError("need at least one count and one seed")
     if len(set(seeds)) != len(seeds):
         raise CliError(f"seeds must be distinct, got {seeds}")
+    if min(counts) < 0 or min(seeds) < 0:
+        raise CliError(f"counts and seeds must be >= 0, got counts {counts}, seeds {seeds}")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise CliError(f"counts must be strictly increasing, got {counts}")
     base = _build_train_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for count in counts:
-        for seed in seeds:
-            config = replace(base, synthetic_count=count, seed=seed)
-            jobs.append(
-                {
-                    "config": asdict(config),
-                    "data": args.data,
-                    "out": str(out / "cells" / f"{args.method}_count{count}_seed{seed}"),
-                }
-            )
+    jobs = [
+        (
+            replace(base, synthetic_count=count, seed=seed),
+            out / "cells" / f"{args.method}_count{count}_seed{seed}",
+        )
+        for count in counts
+        for seed in seeds
+    ]
     if args.jobs > 1:
         with ProcessPoolExecutor(
             max_workers=args.jobs, initializer=_sweep_worker_init, initargs=(args.data, args.jobs)
@@ -294,21 +307,16 @@ def cmd_sweep(args) -> int:
         _sweep_worker_init(args.data, args.jobs)
         results = [_sweep_run_one(job) for job in jobs]
 
-    by_key = {(r["count"], r["seed"]): r for r in results}
     lines = [",".join(SWEEP_CSV_COLUMNS)]
     failures = {}
-    for count in counts:
-        for seed in seeds:
-            r = by_key[(count, seed)]
-            if "error" in r:
-                failures[f"count{count}_seed{seed}"] = r["error"]
-                continue
-            row = r["metrics"]["table_row"]
-            cells = [str(count), str(seed)]
-            for key in ("trans_rare_acc", "trans_other_avg", "cis_rare_acc", "cis_other_avg"):
-                value = row[key]
-                cells.append("" if value is None else repr(float(value)))
-            lines.append(",".join(cells))
+    for (config, _), result in zip(jobs, results):
+        if isinstance(result, str):
+            failures[f"count{config.synthetic_count}_seed{config.seed}"] = result
+            continue
+        row = result["table_row"]
+        cells = [str(config.synthetic_count), str(config.seed)]
+        cells += ["" if row[k] is None else repr(float(row[k])) for k in SWEEP_CSV_COLUMNS[2:]]
+        lines.append(",".join(cells))
     curve_path = out / f"sweep_{args.method}.csv"
     curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if failures:
@@ -326,10 +334,11 @@ def cmd_compare(args) -> int:
         metrics_path = Path(run) / "selected_metrics.json"
         if not metrics_path.is_file():
             raise CliError(f"run directory {run} has no selected_metrics.json")
-        payload = json.loads(metrics_path.read_text(encoding="utf-8"))
-        row = {
-            k: (math.nan if v is None else float(v)) for k, v in payload["table_row"].items()
-        }
+        try:
+            table = json.loads(metrics_path.read_text(encoding="utf-8"))["table_row"]
+            row = {k: (math.nan if table[k] is None else float(table[k])) for k in TABLE_COLUMNS}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CliError(f"malformed {metrics_path}: {type(exc).__name__}: {exc}") from exc
         entries.append((Path(run).name, row))
     text, csv_text = comparison_table(entries)
     out = Path(args.out)
@@ -459,7 +468,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DataFormatError, TrainingDiverged, ValueError, OSError) as exc:
+    except (
+        CliError, CheckpointError, DataFormatError, TrainingDiverged, ValueError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

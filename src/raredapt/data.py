@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -141,17 +140,6 @@ class GenSpec:
             location_jitter=0.0,
         )
         return replace(base, **overrides)
-
-
-@dataclass
-class Sample:
-    """One labeled feature vector (a read-only view into a Dataset)."""
-
-    features: np.ndarray
-    class_id: int
-    domain: str
-    location_id: int
-    split: str
 
 
 @dataclass
@@ -263,15 +251,6 @@ class Dataset:
 
     def synthetic_pool_indices(self) -> np.ndarray:
         return self.indices(domain="synthetic")
-
-    def sample(self, i: int) -> Sample:
-        return Sample(
-            features=self.features[i],
-            class_id=int(self.class_ids[i]),
-            domain=str(self.domains[i]),
-            location_id=int(self.location_ids[i]),
-            split=str(self.splits[i]),
-        )
 
 
 def synthetic_map(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, float]:

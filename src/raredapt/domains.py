@@ -40,8 +40,6 @@ class DomainOrg:
     source_indices: np.ndarray
     target_indices: np.ndarray
     rare_class_id: int
-    oversample_factor: int
-    synthetic_count: int
     dataset: Dataset = field(repr=False)
 
     @property
@@ -112,8 +110,6 @@ def build_domains(
         source_indices=source,
         target_indices=target,
         rare_class_id=rare,
-        oversample_factor=oversample_factor,
-        synthetic_count=synthetic_count,
         dataset=dataset,
     )
 

@@ -138,11 +138,6 @@ class PartTrace:
         return self.act[-1]
 
 
-def grl_forward(x: np.ndarray) -> np.ndarray:
-    """Gradient reversal layer forward pass: the identity, bit for bit."""
-    return x
-
-
 def grl_backward(upstream: np.ndarray, scale: float) -> np.ndarray:
     """Gradient reversal layer backward pass: exactly -scale * upstream."""
     if scale < 0:
@@ -258,15 +253,6 @@ class Network:
             g = g @ layers[i].w.T
         return g
 
-    def backward_discriminator(self, trace: PartTrace, dlogits: np.ndarray) -> np.ndarray:
-        """Backprop the discriminator head only.
-
-        Accumulates the head's own gradients and returns the gradient w.r.t.
-        its input features *before* the reversal layer; pass the result through
-        :func:`grl_backward` before feeding it into the extractor.
-        """
-        return self._backward_part("discriminator", trace, dlogits, activate_last=False)
-
     def backward(
         self,
         features_trace: PartTrace,
@@ -301,7 +287,9 @@ class Network:
         if dlogits_discriminator is not None:
             if discriminator_trace is None:
                 raise ValueError("discriminator gradient given without a discriminator trace")
-            g = self.backward_discriminator(discriminator_trace, dlogits_discriminator)
+            g = self._backward_part(
+                "discriminator", discriminator_trace, dlogits_discriminator, activate_last=False
+            )
             if discriminator_rows is None:
                 rows = np.arange(g.shape[0])
             else:

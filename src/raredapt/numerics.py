@@ -45,15 +45,6 @@ def as_matrix(arr, what: str = "matrix") -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape checking and a finite-output guarantee."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return require_finite(a @ b, "matmul output")
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's maximum.
 

@@ -45,27 +45,21 @@ class TrainingDiverged(RuntimeError):
     """Non-finite loss or gradient encountered; the run is aborted."""
 
 
-@dataclass(frozen=True)
-class SelectionRule:
+def select_epoch(
+    rare_acc: Sequence[float], other_macro: Sequence[float], tolerance_points: float
+) -> int:
     """Checkpoint selection on the trans validation split.
 
     Primary metric: rare-class accuracy. Constraint: other-class macro
     accuracy within ``tolerance_points`` (percentage points) of the best value
     observed over the run. Ties break to the earliest epoch.
     """
-
-    tolerance_points: float = 1.0
-
-
-def select_epoch(
-    rare_acc: Sequence[float], other_macro: Sequence[float], rule: SelectionRule
-) -> int:
     if len(rare_acc) != len(other_macro) or not rare_acc:
         raise ValueError("selection needs equal-length, non-empty metric histories")
     other = np.asarray(other_macro, dtype=np.float64)
     rare = np.asarray(rare_acc, dtype=np.float64)
     best_other = np.nanmax(other)
-    eligible = np.flatnonzero(other >= best_other - rule.tolerance_points / 100.0)
+    eligible = np.flatnonzero(other >= best_other - tolerance_points / 100.0)
     ranked = rare[eligible]
     ranked = np.where(np.isnan(ranked), -np.inf, ranked)
     return int(eligible[np.argmax(ranked)])
@@ -399,26 +393,15 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
         history.append(EpochRecord(epoch=epoch, split_metrics=split_metrics, **totals.summary()))
         snapshots.append(net.snapshot())
 
-    rule = SelectionRule(tolerance_points=config.selection_tolerance_points)
     selected = select_epoch(
         [rec.split_metrics["trans_val"].rare_acc for rec in history],
         [rec.split_metrics["trans_val"].other_macro for rec in history],
-        rule,
+        config.selection_tolerance_points,
     )
     best = Checkpoint(
         params=snapshots[selected],
         network_spec=net_spec,
         epoch=selected,
         config_hash=config.config_hash(),
-        metrics={
-            "selected_epoch": selected,
-            "method": config.method,
-            "synthetic_count": config.synthetic_count,
-            "seed": config.seed,
-            "splits": {
-                split: m.to_dict()
-                for split, m in history[selected].split_metrics.items()
-            },
-        },
     )
     return best, history

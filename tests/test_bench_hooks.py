@@ -1,0 +1,59 @@
+"""The traced benchmark (perfbench/tracing.py) patches raredapt by attribute name.
+
+A refactor that renames or removes one of those attributes breaks every traced
+benchmark run; these tests catch it without running the benchmark.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import raredapt.cli
+import raredapt.training
+from raredapt.cli import main
+
+from test_cli import sweep_argv, write_tiny_csv
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    return tracing
+
+
+def hooked(tracing):
+    """Every (owner, attribute) that ``Tracer.install`` replaces."""
+    return [(owner, attr) for owner, attr, *_ in tracing._TARGETS] + [
+        (raredapt.training, "paired_sampler"),
+        (raredapt.cli, "train"),
+        (raredapt.cli, "_sweep_run_one"),
+    ]
+
+
+def test_tracer_targets_exist(tracing):
+    for owner, attr in hooked(tracing):
+        assert hasattr(owner, attr), f"{owner.__name__}.{attr}"
+
+
+def test_tracer_install_uninstall_restores_originals(tracing, tmp_path):
+    originals = {(owner, attr): getattr(owner, attr) for owner, attr in hooked(tracing)}
+    tracer = tracing.Tracer(tmp_path / "spans")
+    tracer.install()
+    try:
+        for (owner, attr), original in originals.items():
+            assert getattr(owner, attr) is not original, f"{owner.__name__}.{attr}"
+        # pool workers must look the cell function up by name, so the patch reaches them
+        data = write_tiny_csv(tmp_path)
+        assert main(sweep_argv(data, tmp_path / "sweep", jobs=2, counts="0")) == 0
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in originals.items():
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+    tracer.collect_files()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.sweep.cell") == 2
+    assert names.count("training.train") == 2

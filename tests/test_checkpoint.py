@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,6 @@ def make_checkpoint():
         network_spec=spec,
         epoch=7,
         config_hash="abc123",
-        metrics={"selected_epoch": 7, "splits": {"trans_val": {"rare_acc": 0.5}}},
     )
 
 
@@ -32,7 +34,6 @@ def test_round_trip_bit_identical_params_and_forward(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.epoch == 7
     assert loaded.config_hash == "abc123"
-    assert loaded.metrics == cp.metrics
     assert set(loaded.params) == set(cp.params)
     for key in cp.params:
         assert np.array_equal(loaded.params[key], cp.params[key])
@@ -42,6 +43,26 @@ def test_round_trip_bit_identical_params_and_forward(tmp_path):
     f_b, _ = before.forward_features(x)
     f_a, _ = after.forward_features(x)
     assert np.array_equal(f_b, f_a)
+
+
+def test_header_with_legacy_metrics_key_loads(tmp_path):
+    cp = make_checkpoint()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(cp, path)
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(MAGIC) : start])
+    header = json.loads(blob[start : start + length])
+    assert "metrics" not in header
+    header["metrics"] = {"selected_epoch": 7, "splits": {"trans_val": {"rare_acc": 0.5}}}
+    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(
+        MAGIC + struct.pack("<I", len(new_header)) + new_header + blob[start + length :]
+    )
+    loaded = load_checkpoint(path)
+    assert loaded.epoch == 7
+    for key in cp.params:
+        assert np.array_equal(loaded.params[key], cp.params[key])
 
 
 def test_sidecar_metadata_written(tmp_path):

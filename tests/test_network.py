@@ -7,7 +7,6 @@ from raredapt import (
     domain_confusion,
     finite_diff_grad,
     grl_backward,
-    grl_forward,
     make_rng,
     relative_error,
     softmax_rows,
@@ -95,12 +94,6 @@ def test_forward_deterministic():
     f1, _ = net.forward_features(x)
     f2, _ = net.forward_features(x)
     assert np.array_equal(f1, f2)
-
-
-def test_grl_forward_is_identity_bitwise():
-    x = make_rng(10).standard_normal((3, 4))
-    out = grl_forward(x)
-    assert out is x
 
 
 def test_grl_backward_examples():

@@ -1,53 +1,7 @@
 import numpy as np
 import pytest
 
-from raredapt import finite_diff_grad, make_rng, matmul, relative_error, softmax_rows
-
-
-def matmul_oracle(a, b):
-    """Naive triple loop, independent of the library path."""
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for p in range(k):
-                out[i, j] += a[i, p] * b[p, j]
-    return out
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_example():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    assert np.array_equal(matmul(a, b), np.array([[3.0], [7.0]]))
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = make_rng(0)
-    a = rng.standard_normal((5, 4))
-    b = rng.standard_normal((4, 3))
-    assert np.allclose(matmul(a, b), matmul_oracle(a, b), rtol=0, atol=1e-12)
-
-
-def test_matmul_dimension_mismatch_names_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associativity():
-    rng = make_rng(1)
-    for _ in range(20):
-        a = rng.standard_normal((4, 6))
-        b = rng.standard_normal((6, 3))
-        c = rng.standard_normal((3, 5))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert relative_error(left, right) < 1e-9
+from raredapt import finite_diff_grad, make_rng, relative_error, softmax_rows
 
 
 def test_softmax_uniform_row():

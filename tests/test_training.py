@@ -6,7 +6,6 @@ import pytest
 from raredapt import (
     Adam,
     Network,
-    SelectionRule,
     TrainConfig,
     TrainingDiverged,
     generate,
@@ -130,15 +129,14 @@ def test_adam_non_finite_gradient_leaves_state_untouched():
 
 
 def test_select_epoch_constraint_and_tiebreak():
-    rule = SelectionRule(tolerance_points=1.0)
     rare = [0.2, 0.9, 0.5, 0.9]
     other = [0.80, 0.70, 0.80, 0.795]
     # epoch 1 has the best rare acc but violates the 1-point constraint
-    assert select_epoch(rare, other, rule) == 3
+    assert select_epoch(rare, other, 1.0) == 3
     # ties break to the earliest epoch
-    assert select_epoch([0.5, 0.5], [0.8, 0.8], rule) == 0
+    assert select_epoch([0.5, 0.5], [0.8, 0.8], 1.0) == 0
     with pytest.raises(ValueError):
-        select_epoch([], [], rule)
+        select_epoch([], [], 1.0)
 
 
 def test_train_histories_deterministic(tiny_dataset):
