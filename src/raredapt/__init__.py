@@ -23,8 +23,6 @@ from .domains import METHODS, BatchPair, DomainOrg, build_domains, paired_sample
 from .losses import (
     CoralValue,
     LossValue,
-    composite_coral,
-    composite_dann,
     coral_loss,
     covariance,
     cross_entropy,

@@ -138,12 +138,21 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> Checkpoint:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {header.get('format_version')} != {FORMAT_VERSION}"
         )
+    try:
+        network_spec = _spec_from_dict(header["network"])
+        epoch = int(header["epoch"])
+        config_hash = str(header["config_hash"])
+        array_count = int(header["array_count"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
     params: dict[str, np.ndarray] = {}
-    for _ in range(header["array_count"]):
+    for _ in range(array_count):
         raw, pos = take(pos, 2, "array name length")
         (name_len,) = struct.unpack("<H", raw)
         raw, pos = take(pos, name_len, "array name")
@@ -157,15 +166,12 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> Checkpoint:
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes after last array")
-    if expect_config_hash is not None and expect_config_hash != header["config_hash"]:
+    if expect_config_hash is not None and expect_config_hash != config_hash:
         warnings.warn(
-            f"{path}: checkpoint config hash {header['config_hash'][:12]} does not match "
+            f"{path}: checkpoint config hash {config_hash[:12]} does not match "
             f"expected {expect_config_hash[:12]}; resuming across configs",
             stacklevel=2,
         )
     return Checkpoint(
-        params=params,
-        network_spec=_spec_from_dict(header["network"]),
-        epoch=int(header["epoch"]),
-        config_hash=header["config_hash"],
+        params=params, network_spec=network_spec, epoch=epoch, config_hash=config_hash
     )

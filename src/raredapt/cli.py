@@ -253,15 +253,23 @@ def _single_thread_blas() -> None:
 
 
 def _sweep_worker_init(data_path: str, jobs: int) -> None:
+    """Load the dataset once per worker. A load error is kept for the first
+    cell to raise, so a pool reports it as ``main()`` does instead of breaking."""
     if jobs > 1:
         _single_thread_blas()
+    _SWEEP_STATE.clear()
     _SWEEP_STATE["data"] = data_path
-    _SWEEP_STATE["dataset"] = load_csv(data_path)
+    try:
+        _SWEEP_STATE["dataset"] = load_csv(data_path)
+    except (ValueError, OSError) as exc:
+        _SWEEP_STATE["error"] = exc
 
 
 def _sweep_run_one(job: tuple[TrainConfig, Path]) -> dict | str:
     """One sweep cell: its ``selected_metrics.json`` payload, or its error message."""
     config, out = job
+    if "error" in _SWEEP_STATE:
+        raise _SWEEP_STATE["error"]
     try:
         checkpoint, history = train(_SWEEP_STATE["dataset"], config)
         return _write_run_dir(out, _SWEEP_STATE["data"], config, checkpoint, history)

@@ -118,7 +118,9 @@ def route_delta(class_ids: np.ndarray, method: str, rare_class_id: int) -> np.nd
     """Rows whose features reach the discriminator.
 
     Deer-specific methods select rare-class rows; alldann selects every row;
-    the baseline routes nothing (it has no adversarial term).
+    the baseline routes nothing (it has no adversarial term). The rows come
+    sorted and unique, so the training step can add their gradients back with
+    one fancy-index add.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -1,10 +1,11 @@
 """Scalar training objectives with exact input gradients.
 
-Four building blocks: classification cross-entropy, the two-class domain
-confusion loss of the adversarial path, the covariance-alignment loss, and the
-two composites that sum them. Each loss returns its value together with the
-gradient w.r.t. its input logits/activations so the network backward pass never
-has to re-derive loss gradients.
+Three building blocks: classification cross-entropy, the two-class domain
+confusion loss of the adversarial path, and the covariance-alignment loss. The
+training step sums them into each method's composite objective. Each loss
+returns its value together with the gradient w.r.t. its input
+logits/activations so the network backward pass never has to re-derive loss
+gradients.
 
 Domain label convention: 0 = source, 1 = target. The discriminator's two logit
 columns follow the same order.
@@ -124,25 +125,3 @@ def coral_loss(source_acts: np.ndarray, target_acts: np.ndarray) -> CoralValue:
     d_target = -(t_centered @ diff) / (d * d * (n_t - 1))
     return CoralValue(value=value, d_source=d_source, d_target=d_target)
 
-
-def composite_dann(
-    classification: LossValue, confusion: LossValue | None, domain_weight: float = 1.0
-) -> float:
-    """Adversarial composite: classification loss plus the confusion term.
-
-    The equation-level form is an unweighted sum; ``domain_weight`` is an
-    off-by-default extension (1.0 reproduces the plain sum, 0.0 ablates the
-    adversarial term). A batch with no routed samples passes ``confusion=None``
-    and degenerates to the classification loss alone.
-    """
-    total = classification.value
-    if confusion is not None:
-        total += domain_weight * confusion.value
-    return total
-
-
-def composite_coral(classification: LossValue, coral: CoralValue, trade_off: float) -> float:
-    """Covariance-alignment composite: L_classification + trade_off * L_coral."""
-    if trade_off < 0:
-        raise ValueError(f"trade_off must be >= 0, got {trade_off}")
-    return classification.value + trade_off * coral.value

@@ -42,20 +42,6 @@ class RunMetrics:
             "confusion": self.confusion.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunMetrics":
-        def nan_if_none(x):
-            return math.nan if x is None else float(x)
-
-        return cls(
-            per_class_acc=np.array([nan_if_none(a) for a in payload["per_class_acc"]]),
-            rare_class_id=int(payload["rare_class_id"]),
-            rare_acc=nan_if_none(payload["rare_acc"]),
-            other_macro=nan_if_none(payload["other_macro"]),
-            overall=nan_if_none(payload["overall"]),
-            confusion=np.asarray(payload["confusion"], dtype=np.int64),
-        )
-
 
 def evaluate(
     net: Network, dataset: Dataset, split: str, rare_class_id: int | None = None

@@ -1,15 +1,13 @@
 """Three-part MLP with exact manual backpropagation.
 
 The network splits into a feature extractor, a label classifier head, and a
-two-way domain discriminator head. The adversarial path routes features into
-the discriminator through a gradient reversal layer: identity on the forward
-pass, negate-and-scale on the backward pass, so the extractor is pushed to
-*maximize* the discriminator's loss while the discriminator minimizes it.
-
-Backprop is written out by hand against cached forward traces. The fixed
-architecture makes this short, and it keeps the reversal sign-flip explicit
-and auditable; every gradient in here is validated against central finite
-differences in the test suite.
+two-way domain discriminator head. Each part runs forward and backward on its
+own: ``backward(part, trace, dout)`` accumulates that part's gradients from a
+cached forward trace and returns the gradient w.r.t. the part's input, so the
+training step composes the heads, the gradient reversal layer and the
+extractor itself (see :mod:`raredapt.training`). Backprop is written out by
+hand; every gradient in here is validated against central finite differences
+in the test suite.
 
 Parameter layout: all weights and biases of a ``Network`` live in one
 contiguous float64 vector ``params`` and their gradients in a second one,
@@ -146,7 +144,7 @@ def grl_backward(upstream: np.ndarray, scale: float) -> np.ndarray:
 
 
 class Network:
-    """Parameters plus forward/backward ops for the three-part model.
+    """Parameters plus per-part forward/backward ops for the three-part model.
 
     Gradients accumulate into per-layer buffers across backward calls until
     ``zero_grads``; a training step may therefore combine several partial
@@ -234,14 +232,18 @@ class Network:
 
     # -- backward --------------------------------------------------------
 
-    def _backward_part(
-        self, name: str, trace: PartTrace, dout: np.ndarray, activate_last: bool
-    ) -> np.ndarray:
-        """Accumulate this part's gradients; return the gradient w.r.t. its input."""
-        layers = self.parts[name]
+    def backward(self, part: str, trace: PartTrace, dout: np.ndarray) -> np.ndarray:
+        """Accumulate one part's gradients; return the gradient w.r.t. its input.
+
+        ``trace`` is that part's forward trace and ``dout`` the gradient w.r.t.
+        its output. The extractor applies the activation after its last layer,
+        the two heads do not.
+        """
+        layers = self.parts[part]
+        activate_last = part == "extractor"
         if dout.shape != trace.act[-1].shape:
             raise ValueError(
-                f"{name} upstream gradient shape {dout.shape} != output {trace.act[-1].shape}"
+                f"{part} upstream gradient shape {dout.shape} != output {trace.act[-1].shape}"
             )
         g = dout
         for i in reversed(range(len(layers))):
@@ -252,65 +254,6 @@ class Network:
             layers[i].gb += g.sum(axis=0)
             g = g @ layers[i].w.T
         return g
-
-    def backward(
-        self,
-        features_trace: PartTrace,
-        classifier_trace: PartTrace | None = None,
-        dlogits_classifier: np.ndarray | None = None,
-        discriminator_trace: PartTrace | None = None,
-        dlogits_discriminator: np.ndarray | None = None,
-        discriminator_rows: np.ndarray | None = None,
-        grl_scale: float = 1.0,
-        dfeatures: np.ndarray | None = None,
-    ) -> None:
-        """Composite backward pass for one batch.
-
-        The classifier path accumulates unmodified; the discriminator path is
-        negated and scaled by ``grl_scale`` on its way into the extractor.
-        ``discriminator_rows`` maps discriminator batch rows onto rows of the
-        extractor batch when only a routed subset reached the discriminator;
-        it must be strictly increasing, as ``route_delta`` produces it.
-        ``dfeatures`` adds an extra gradient directly on the features (used by
-        feature-level alignment losses). At least one source must be present.
-        """
-        n = features_trace.output.shape[0]
-        dfeat = np.zeros_like(features_trace.output)
-        got_term = False
-        if dlogits_classifier is not None:
-            if classifier_trace is None:
-                raise ValueError("classifier gradient given without a classifier trace")
-            dfeat += self._backward_part(
-                "classifier", classifier_trace, dlogits_classifier, activate_last=False
-            )
-            got_term = True
-        if dlogits_discriminator is not None:
-            if discriminator_trace is None:
-                raise ValueError("discriminator gradient given without a discriminator trace")
-            g = self._backward_part(
-                "discriminator", discriminator_trace, dlogits_discriminator, activate_last=False
-            )
-            if discriminator_rows is None:
-                rows = np.arange(g.shape[0])
-            else:
-                rows = np.asarray(discriminator_rows, dtype=np.int64)
-            if rows.shape[0] != g.shape[0]:
-                raise ValueError(
-                    f"row map length {rows.shape[0]} != discriminator batch {g.shape[0]}"
-                )
-            if rows.size and (rows.min() < 0 or rows.max() >= n):
-                raise ValueError(f"discriminator row map out of range [0, {n})")
-            # a fancy-index add applies each row once, so rows must be unique
-            if (rows[1:] <= rows[:-1]).any():
-                raise ValueError("discriminator row map must be strictly increasing")
-            dfeat[rows] += grl_backward(g, grl_scale)
-            got_term = True
-        if dfeatures is not None:
-            dfeat += dfeatures
-            got_term = True
-        if not got_term:
-            raise ValueError("backward needs at least one gradient source")
-        self._backward_part("extractor", features_trace, dfeat, activate_last=True)
 
     # -- parameter access --------------------------------------------------
 

@@ -9,6 +9,14 @@ term. Per epoch, every split is evaluated and a parameter snapshot is kept;
 the returned checkpoint is the epoch with the best trans-validation rare-class
 accuracy among epochs whose trans-validation other-class accuracy stays within
 a tolerance of the best value seen.
+
+The adversarial methods differ only in routing: the sampler's ``route_delta``
+picks which feature rows of each batch reach the discriminator (rare-class
+rows for deerdann, every row for alldann), sorted and unique. The step
+gathers those rows on the forward pass and adds their gradient back into the
+same rows on the backward pass, through the gradient reversal layer: identity
+forward, negate-and-scale backward, so the extractor is pushed to *maximize*
+the discriminator's loss while the discriminator minimizes it.
 """
 
 from __future__ import annotations
@@ -24,17 +32,9 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import SPLITS, Dataset
 from .domains import METHODS, BatchPair, build_domains, paired_sampler
-from .losses import (
-    DOMAIN_SOURCE,
-    DOMAIN_TARGET,
-    composite_coral,
-    composite_dann,
-    coral_loss,
-    cross_entropy,
-    domain_confusion,
-)
+from .losses import DOMAIN_SOURCE, DOMAIN_TARGET, coral_loss, cross_entropy, domain_confusion
 from .metrics import RunMetrics, evaluate
-from .network import Network, default_network_spec
+from .network import Network, default_network_spec, grl_backward
 from .numerics import NonFiniteError, make_rng
 
 _INIT_STREAM = 20
@@ -267,6 +267,8 @@ def _train_batch(
     confusion of the routed rows behind the reversal layer (deerdann,
     alldann), or the covariance alignment of logits or features (deercoral).
     Raises TrainingDiverged on a non-finite loss, before any backward pass.
+    The backward pass runs the source side, then the target side; each side
+    runs its heads, then the extractor.
     """
     xs = pair.source.features
     xt = None if pair.target is None else pair.target.features
@@ -278,63 +280,63 @@ def _train_batch(
     f_src, tr_f_src = net.forward_features(xs)
     logits_src, tr_c_src = net.forward_classifier(f_src)
     classification = cross_entropy(logits_src, pair.source.class_ids)
-    source = dict(classifier_trace=tr_c_src, dlogits_classifier=classification.dlogits)
-    target: dict = {}
     composite = classification.value
     confusion = coral = None
-
-    if config.method in ("deerdann", "alldann"):
+    rs, rt = pair.routed_source_rows, pair.routed_target_rows
+    if xt is not None:
         f_tgt, tr_f_tgt = net.forward_features(xt)
-        rs, rt = pair.routed_source_rows, pair.routed_target_rows
-        if rs.size + rt.size > 0:
-            blocks = []
-            if rs.size:
-                d_logits_src, tr_d_src = net.forward_discriminator(f_src[rs])
-                blocks.append(d_logits_src)
-            if rt.size:
-                d_logits_tgt, tr_d_tgt = net.forward_discriminator(f_tgt[rt])
-                blocks.append(d_logits_tgt)
-            stacked = np.vstack(blocks)
-            labels = _discriminator_labels(pair, config)
-            confusion = domain_confusion(stacked, labels)
-            totals.record_discriminator(np.argmax(stacked, axis=1), labels)
-            dlogits_d = config.domain_weight * confusion.dlogits
-            if rs.size:
-                source.update(
-                    discriminator_trace=tr_d_src,
-                    dlogits_discriminator=dlogits_d[: rs.size],
-                    discriminator_rows=rs,
-                    grl_scale=grl_scale,
-                )
-            if rt.size:
-                target = dict(
-                    discriminator_trace=tr_d_tgt,
-                    dlogits_discriminator=dlogits_d[rs.size :],
-                    discriminator_rows=rt,
-                    grl_scale=grl_scale,
-                )
-        composite = composite_dann(classification, confusion, config.domain_weight)
+    if config.method in ("deerdann", "alldann") and rs.size + rt.size > 0:
+        blocks = []
+        if rs.size:
+            d_logits_src, tr_d_src = net.forward_discriminator(f_src[rs])
+            blocks.append(d_logits_src)
+        if rt.size:
+            d_logits_tgt, tr_d_tgt = net.forward_discriminator(f_tgt[rt])
+            blocks.append(d_logits_tgt)
+        stacked = np.vstack(blocks)
+        labels = _discriminator_labels(pair, config)
+        confusion = domain_confusion(stacked, labels)
+        totals.record_discriminator(np.argmax(stacked, axis=1), labels)
+        composite += config.domain_weight * confusion.value
     elif config.method == "deercoral":
-        f_tgt, tr_f_tgt = net.forward_features(xt)
-        weight = config.coral_weight
         if config.coral_layer == "logits":
             logits_tgt, tr_c_tgt = net.forward_classifier(f_tgt)
             coral = coral_loss(logits_src, logits_tgt)
-            source["dlogits_classifier"] = classification.dlogits + weight * coral.d_source
-            target = dict(classifier_trace=tr_c_tgt, dlogits_classifier=weight * coral.d_target)
         else:
             coral = coral_loss(f_src, f_tgt)
-            source["dfeatures"] = weight * coral.d_source
-            target = dict(dfeatures=weight * coral.d_target)
-        composite = composite_coral(classification, coral, weight)
+        composite += config.coral_weight * coral.value
 
     if not math.isfinite(composite):
         raise TrainingDiverged(
             f"non-finite loss (classification {classification.value!r}, composite {composite!r})"
         )
-    net.backward(tr_f_src, **source)
-    if target:
-        net.backward(tr_f_tgt, **target)
+    weight = config.coral_weight
+    coral_on_logits = coral is not None and config.coral_layer == "logits"
+    if confusion is not None:
+        dlogits_d = config.domain_weight * confusion.dlogits
+    # source side
+    dlogits = classification.dlogits
+    if coral_on_logits:
+        dlogits = dlogits + weight * coral.d_source
+    dfeat = net.backward("classifier", tr_c_src, dlogits)
+    if confusion is not None and rs.size:
+        d_routed = net.backward("discriminator", tr_d_src, dlogits_d[: rs.size])
+        dfeat[rs] += grl_backward(d_routed, grl_scale)
+    if coral is not None and not coral_on_logits:
+        dfeat += weight * coral.d_source
+    net.backward("extractor", tr_f_src, dfeat)
+    # target side
+    dfeat = None
+    if confusion is not None and rt.size:
+        dfeat = np.zeros_like(f_tgt)
+        d_routed = net.backward("discriminator", tr_d_tgt, dlogits_d[rs.size :])
+        dfeat[rt] += grl_backward(d_routed, grl_scale)
+    elif coral is not None:
+        dfeat = weight * coral.d_target
+        if coral_on_logits:
+            dfeat = net.backward("classifier", tr_c_tgt, dfeat)
+    if dfeat is not None:
+        net.backward("extractor", tr_f_tgt, dfeat)
     totals.record(
         classification.value,
         xs.shape[0],

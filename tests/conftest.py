@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from raredapt import GenSpec, generate, make_rng
+from raredapt import GenSpec, generate, make_rng, route_delta
+from raredapt.domains import BatchPair, SideBatch
 from raredapt.network import MlpSpec, Network, NetworkSpec
 
 KINK_MARGIN = 5e-3  # finite differences are invalid within ~h of a ReLU kink
@@ -60,3 +61,18 @@ def make_gradcheck_net(seed: int) -> tuple[Network, np.random.Generator]:
 
 def trace_clear_of_kinks(*traces, margin: float = KINK_MARGIN) -> bool:
     return all(np.abs(z).min() >= margin for tr in traces if tr is not None for z in tr.pre)
+
+
+def batch_pair(method, rare_class_id, xs, ys, xt=None, yt=None) -> BatchPair:
+    """A hand-built batch pair, routed as ``paired_sampler`` routes one; pass
+    no target batch for the baseline."""
+
+    def side(x, y):
+        return SideBatch(features=x, class_ids=y, domains=np.full(len(y), "real"),
+                         indices=np.arange(len(y)))
+
+    if xt is None:
+        target, routed_target = None, np.empty(0, dtype=np.int64)
+    else:
+        target, routed_target = side(xt, yt), route_delta(yt, method, rare_class_id)
+    return BatchPair(side(xs, ys), target, route_delta(ys, method, rare_class_id), routed_target)

@@ -10,6 +10,7 @@ import pytest
 
 import raredapt.cli
 import raredapt.training
+from raredapt import TrainConfig
 from raredapt.cli import main
 
 from test_cli import sweep_argv, write_tiny_csv
@@ -57,3 +58,22 @@ def test_tracer_install_uninstall_restores_originals(tracing, tmp_path):
     names = [span[0] for span in tracer.spans]
     assert names.count("cli.sweep.cell") == 2
     assert names.count("training.train") == 2
+
+
+def test_traced_table_run_produces_every_step_metric(tracing, tiny_dataset, tmp_path):
+    # one epoch per method, as the traced ``table`` workload runs them
+    import catalogue
+
+    tracer = tracing.Tracer(tmp_path / "spans")
+    tracer.install()
+    try:
+        for method in catalogue.METHODS:
+            config = TrainConfig(method=method, epochs=1, batch_size=32, synthetic_count=80)
+            tracer.traced_train(tiny_dataset, config)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts, 1)
+    assert catalogue.PRODUCED["table"] - {"trace.overhead"} <= set(metrics)
+    assert metrics["domains.paired_sampler.batches"] == metrics["training.adam_step.calls"]
+    train_ns = sum(span[3] for span in tracer.spans if span[0] == "training.train")
+    assert sum(span[4] for span in tracer.spans) == train_ns

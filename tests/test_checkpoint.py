@@ -45,24 +45,54 @@ def test_round_trip_bit_identical_params_and_forward(tmp_path):
     assert np.array_equal(f_b, f_a)
 
 
+def rewrite_header(path, edit) -> None:
+    """Replace a checkpoint's JSON header by ``edit(header)``; the arrays stay."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<I", blob[len(MAGIC) : start])
+    new_header = json.dumps(edit(json.loads(blob[start : start + length]))).encode("utf-8")
+    path.write_bytes(
+        MAGIC + struct.pack("<I", len(new_header)) + new_header + blob[start + length :]
+    )
+
+
 def test_header_with_legacy_metrics_key_loads(tmp_path):
     cp = make_checkpoint()
     path = tmp_path / "model.ckpt"
     save_checkpoint(cp, path)
-    blob = path.read_bytes()
-    start = len(MAGIC) + 4
-    (length,) = struct.unpack("<I", blob[len(MAGIC) : start])
-    header = json.loads(blob[start : start + length])
-    assert "metrics" not in header
-    header["metrics"] = {"selected_epoch": 7, "splits": {"trans_val": {"rare_acc": 0.5}}}
-    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(
-        MAGIC + struct.pack("<I", len(new_header)) + new_header + blob[start + length :]
-    )
+
+    def add_metrics(header):
+        assert "metrics" not in header
+        header["metrics"] = {"selected_epoch": 7, "splits": {"trans_val": {"rare_acc": 0.5}}}
+        return header
+
+    rewrite_header(path, add_metrics)
     loaded = load_checkpoint(path)
     assert loaded.epoch == 7
     for key in cp.params:
         assert np.array_equal(loaded.params[key], cp.params[key])
+
+
+def test_malformed_header_fields_raise_checkpoint_error(tmp_path):
+    def drop(key):
+        return lambda header: {k: v for k, v in header.items() if k != key}
+
+    def wide_input(header):
+        header["network"]["extractor"]["input_dim"] = "wide"
+        return header
+
+    for edit, reason in (
+        (drop("network"), "KeyError: 'network'"),
+        (drop("epoch"), "KeyError: 'epoch'"),
+        (wide_input, "ValueError: invalid literal for int()"),
+        (lambda header: list(header), "header is not a JSON object"),
+    ):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(make_checkpoint(), path)
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and reason in str(info.value)
 
 
 def test_sidecar_metadata_written(tmp_path):

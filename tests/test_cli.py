@@ -9,6 +9,7 @@ from raredapt.checkpoint import MAGIC
 from raredapt.cli import main
 
 from conftest import tiny_gen_spec
+from test_checkpoint import rewrite_header
 
 
 def write_tiny_csv(tmp_path):
@@ -75,6 +76,40 @@ def test_sweep_records_failed_cells_and_keeps_going(tmp_path, jobs):
         "deerdann_count0_seed0",
         "deerdann_count0_seed1",
     ]
+
+
+def test_sweep_unreadable_data_fails_alike_with_one_and_two_jobs(tmp_path, capsys):
+    data = write_tiny_csv(tmp_path)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    lines[1] = "abc" + lines[1][lines[1].index(","):]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for path, reason in (
+        (bad, f"{bad}: line 2: could not convert string to float: 'abc'"),
+        (tmp_path / "missing.csv", "No such file or directory"),
+    ):
+        errors = []
+        for jobs in (1, 2):
+            capsys.readouterr()
+            assert main(sweep_argv(path, tmp_path / f"sweep{jobs}", jobs=jobs)) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and reason in errors[0]
+        assert errors[0].count("\n") == 1
+
+
+def test_project_malformed_checkpoint_header_is_a_clean_error(tmp_path, capsys):
+    data = write_tiny_csv(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
+                 "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 0
+    ckpt = run / "checkpoint.ckpt"
+    rewrite_header(ckpt, lambda header: {k: v for k, v in header.items() if k != "network"})
+    capsys.readouterr()
+    assert main(["project", "--run", str(run), "--data", str(data), "--split", "trans_test",
+                 "--out", str(tmp_path / "proj")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err and "KeyError: 'network'" in err
 
 
 def checkpoint_header(path) -> dict:

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from raredapt import (
-    composite_coral,
-    composite_dann,
     coral_loss,
     covariance,
     cross_entropy,
@@ -160,23 +158,3 @@ def test_coral_rejects_dimension_mismatch_and_tiny_batches():
     with pytest.raises(ValueError, match=">= 2"):
         coral_loss(np.zeros((1, 2)), np.zeros((3, 2)))
 
-
-def test_composite_dann_additivity_and_ablation():
-    rng = make_rng(19)
-    lc = cross_entropy(rng.standard_normal((5, 3)), rng.integers(0, 3, 5))
-    ld = domain_confusion(rng.standard_normal((4, 2)), rng.integers(0, 2, 4))
-    assert composite_dann(lc, None) == lc.value
-    assert abs(composite_dann(lc, ld) - (lc.value + ld.value)) <= 1e-12
-    assert composite_dann(lc, ld, domain_weight=0.0) == lc.value
-
-
-def test_composite_coral_linearity():
-    rng = make_rng(20)
-    lc = cross_entropy(rng.standard_normal((5, 3)), rng.integers(0, 3, 5))
-    coral = coral_loss(rng.standard_normal((5, 3)), rng.standard_normal((6, 3)))
-    assert composite_coral(lc, coral, 0.0) == lc.value
-    v1 = composite_coral(lc, coral, 0.3)
-    v2 = composite_coral(lc, coral, 0.7)
-    assert abs((v1 + v2 - lc.value) - composite_coral(lc, coral, 1.0)) <= 1e-12
-    with pytest.raises(ValueError):
-        composite_coral(lc, coral, -0.1)

@@ -3,17 +3,17 @@ import pytest
 
 from raredapt import (
     Network,
+    TrainConfig,
     cross_entropy,
-    domain_confusion,
-    finite_diff_grad,
     grl_backward,
     make_rng,
     relative_error,
     softmax_rows,
 )
 from raredapt.network import Layer, MlpSpec, NetworkSpec, default_network_spec
+from raredapt.training import _Totals, _train_batch
 
-from conftest import make_gradcheck_net, trace_clear_of_kinks
+from conftest import batch_pair
 
 
 def small_spec():
@@ -138,7 +138,7 @@ def test_backward_without_discriminator_equals_plain_classifier_backprop():
     features, tr_f = net.forward_features(x)
     logits, tr_c = net.forward_classifier(features)
     loss = cross_entropy(logits, labels)
-    net.backward(tr_f, classifier_trace=tr_c, dlogits_classifier=loss.dlogits)
+    net.backward("extractor", tr_f, net.backward("classifier", tr_c, loss.dlogits))
     expected = manual_classifier_grads(net, x, labels)
     for part, i, layer in net.parameters():
         if part == "discriminator":
@@ -149,160 +149,33 @@ def test_backward_without_discriminator_equals_plain_classifier_backprop():
 
 
 def test_grl_scale_zero_reproduces_classifier_only_extractor_grads():
-    net = Network.initialize(small_spec(), make_rng(15))
+    # one deerdann step with the reversal scale at 0 leaves exactly the
+    # baseline's extractor and classifier gradients
     rng = make_rng(16)
-    x = rng.standard_normal((6, 4))
-    labels = rng.integers(0, 4, 6)
-    rows = np.array([0, 3, 4])
+    xs, xt = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
+    ys, yt = np.array([3, 0, 1, 3, 3, 2]), np.full(6, 3)
 
-    def run(with_disc, scale):
-        net.zero_grads()
-        features, tr_f = net.forward_features(x)
-        logits, tr_c = net.forward_classifier(features)
-        loss = cross_entropy(logits, labels)
-        kwargs = {}
-        if with_disc:
-            d_logits, tr_d = net.forward_discriminator(features[rows])
-            conf = domain_confusion(d_logits, [0, 1, 0])
-            kwargs = dict(
-                discriminator_trace=tr_d,
-                dlogits_discriminator=conf.dlogits,
-                discriminator_rows=rows,
-                grl_scale=scale,
-            )
-        net.backward(tr_f, classifier_trace=tr_c, dlogits_classifier=loss.dlogits, **kwargs)
-        return {
-            f"{p}.{i}.{a}": getattr(l, g).copy()
-            for p, i, l in net.parameters()
-            for a, g in (("w", "gw"), ("b", "gb"))
-            if p == "extractor"
-        }
+    def step(method, pair):
+        net = Network.initialize(small_spec(), make_rng(15))
+        config = TrainConfig(method=method, grl_scale=0.0)
+        _train_batch(net, pair, config, 0.0, make_rng(0), _Totals())
+        return {key: net.grads[span] for key, (span, _) in net.slots.items()}
 
-    plain = run(False, 0.0)
-    gated = run(True, 0.0)
+    plain = step("baseline", batch_pair("baseline", 3, xs, ys))
+    gated = step("deerdann", batch_pair("deerdann", 3, xs, ys, xt, yt))
+    assert gated["discriminator.0.w"].any()  # the discriminator did learn
     for key in plain:
-        assert np.array_equal(plain[key], gated[key])
+        if not key.startswith("discriminator."):
+            assert np.array_equal(plain[key], gated[key]), key
 
 
-def test_backward_rejects_bad_row_map():
+def test_backward_rejects_wrong_upstream_shape():
     net = Network.initialize(small_spec(), make_rng(17))
     x = make_rng(18).standard_normal((4, 4))
     features, tr_f = net.forward_features(x)
-    d_logits, tr_d = net.forward_discriminator(features[:2])
-    with pytest.raises(ValueError, match="out of range"):
-        net.backward(
-            tr_f,
-            discriminator_trace=tr_d,
-            dlogits_discriminator=np.ones((2, 2)),
-            discriminator_rows=np.array([0, 7]),
-        )
-    with pytest.raises(ValueError, match="strictly increasing"):
-        net.backward(
-            tr_f,
-            discriminator_trace=tr_d,
-            dlogits_discriminator=np.ones((2, 2)),
-            discriminator_rows=np.array([1, 1]),
-        )
-    with pytest.raises(ValueError, match="at least one gradient"):
-        net.backward(tr_f)
-
-
-def dann_instance(seed):
-    """A composite-loss micro instance clear of ReLU kinks, or None."""
-    net, rng = make_gradcheck_net(seed)
-    n = int(rng.integers(2, 8))
-    d_in = net.spec.extractor.input_dim
-    k = net.spec.class_count
-    xs = rng.standard_normal((n, d_in))
-    ys = rng.integers(0, k, n)
-    xt = rng.standard_normal((n, d_in))
-    rs = np.flatnonzero(rng.random(n) < 0.6)
-    rt = np.flatnonzero(rng.random(n) < 0.6)
-    if rs.size + rt.size == 0:
-        return None
-    f_s, tr_f_s = net.forward_features(xs)
-    f_t, tr_f_t = net.forward_features(xt)
-    _, tr_c = net.forward_classifier(f_s)
-    tr_d_s = net.forward_discriminator(f_s[rs])[1] if rs.size else None
-    tr_d_t = net.forward_discriminator(f_t[rt])[1] if rt.size else None
-    if not trace_clear_of_kinks(tr_f_s, tr_f_t, tr_c, tr_d_s, tr_d_t):
-        return None
-    labels = np.concatenate([np.zeros(rs.size, dtype=int), np.ones(rt.size, dtype=int)])
-    return net, xs, ys, xt, rs, rt, labels
-
-
-def test_composite_adversarial_gradient_matches_finite_differences():
-    grl, w_d = 0.7, 1.0
-    checked = 0
-    seed = 0
-    while checked < 5:
-        seed += 1
-        instance = dann_instance(seed)
-        if instance is None:
-            continue
-        net, xs, ys, xt, rs, rt, labels = instance
-
-        def losses():
-            f_s, _ = net.forward_features(xs)
-            f_t, _ = net.forward_features(xt)
-            lc = cross_entropy(net.forward_classifier(f_s)[0], ys)
-            blocks = []
-            if rs.size:
-                blocks.append(net.forward_discriminator(f_s[rs])[0])
-            if rt.size:
-                blocks.append(net.forward_discriminator(f_t[rt])[0])
-            ld = domain_confusion(np.vstack(blocks), labels)
-            return lc.value, ld.value
-
-        net.zero_grads()
-        f_s, tr_f_s = net.forward_features(xs)
-        f_t, tr_f_t = net.forward_features(xt)
-        logits, tr_c = net.forward_classifier(f_s)
-        lc = cross_entropy(logits, ys)
-        blocks, traces = [], []
-        if rs.size:
-            out, tr = net.forward_discriminator(f_s[rs])
-            blocks.append(out)
-            traces.append(tr)
-        if rt.size:
-            out, tr = net.forward_discriminator(f_t[rt])
-            blocks.append(out)
-            traces.append(tr)
-        ld = domain_confusion(np.vstack(blocks), labels)
-        dd = w_d * ld.dlogits
-        net.backward(
-            tr_f_s,
-            classifier_trace=tr_c,
-            dlogits_classifier=lc.dlogits,
-            discriminator_trace=traces[0] if rs.size else None,
-            dlogits_discriminator=dd[: rs.size] if rs.size else None,
-            discriminator_rows=rs if rs.size else None,
-            grl_scale=grl,
-        )
-        if rt.size:
-            net.backward(
-                tr_f_t,
-                discriminator_trace=traces[-1],
-                dlogits_discriminator=dd[rs.size :],
-                discriminator_rows=rt,
-                grl_scale=grl,
-            )
-
-        # the reversal layer makes the extractor follow L_C - grl*w*L_D while
-        # the heads follow L_C + w*L_D; check each block against its objective
-        for part, i, layer in net.parameters():
-            sign = -grl * w_d if part == "extractor" else w_d
-            for attr, gattr in (("w", "gw"), ("b", "gb")):
-                param = getattr(layer, attr)
-
-                def f(mat, layer=layer, attr=attr, sign=sign):
-                    old = getattr(layer, attr)
-                    setattr(layer, attr, mat.reshape(old.shape))
-                    lcv, ldv = losses()
-                    setattr(layer, attr, old)
-                    return lcv + sign * ldv
-
-                flat = param.reshape(1, -1).copy()
-                fd = finite_diff_grad(f, flat, 1e-4).reshape(param.shape)
-                assert relative_error(getattr(layer, gattr), fd) < 1e-4
-        checked += 1
+    _, tr_d = net.forward_discriminator(features[:2])
+    with pytest.raises(ValueError, match=r"discriminator upstream gradient shape \(4, 2\)"):
+        net.backward("discriminator", tr_d, np.ones((4, 2)))
+    with pytest.raises(ValueError, match=r"extractor upstream gradient shape \(4, 2\)"):
+        net.backward("extractor", tr_f, np.ones((4, 2)))
+    assert not net.grads.any()

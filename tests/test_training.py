@@ -8,14 +8,21 @@ from raredapt import (
     Network,
     TrainConfig,
     TrainingDiverged,
+    coral_loss,
+    cross_entropy,
+    domain_confusion,
+    finite_diff_grad,
     generate,
     make_rng,
+    relative_error,
     select_epoch,
     train,
 )
+from raredapt.losses import DOMAIN_SOURCE, DOMAIN_TARGET
 from raredapt.network import MlpSpec, NetworkSpec
+from raredapt.training import _Totals, _train_batch
 
-from conftest import tiny_gen_spec
+from conftest import batch_pair, make_gradcheck_net, tiny_gen_spec, trace_clear_of_kinks
 
 
 def scalar_net():
@@ -278,3 +285,86 @@ def test_provenance_discriminator_labels_change_dynamics(tiny_dataset):
     _, h_member = train(tiny_dataset, TrainConfig(discriminator_labels="membership", **shared))
     _, h_prov = train(tiny_dataset, TrainConfig(discriminator_labels="provenance", **shared))
     assert h_member[-1].domain_loss != h_prov[-1].domain_loss
+
+
+def step_terms(net, pair, config):
+    """The step's loss terms by plain forward passes: L_C, the alignment term
+    (L_D or L_coral), and every trace, for the kink check."""
+    f_s, tr_fs = net.forward_features(pair.source.features)
+    f_t, tr_ft = net.forward_features(pair.target.features)
+    logits_s, tr_cs = net.forward_classifier(f_s)
+    lc = cross_entropy(logits_s, pair.source.class_ids).value
+    traces = [tr_fs, tr_ft, tr_cs]
+    if config.method == "deercoral":
+        if config.coral_layer == "features":
+            return lc, coral_loss(f_s, f_t).value, traces
+        logits_t, tr_ct = net.forward_classifier(f_t)
+        return lc, coral_loss(logits_s, logits_t).value, traces + [tr_ct]
+    rs, rt = pair.routed_source_rows, pair.routed_target_rows
+    d_s, tr_ds = net.forward_discriminator(f_s[rs])
+    d_t, tr_dt = net.forward_discriminator(f_t[rt])
+    labels = np.repeat([DOMAIN_SOURCE, DOMAIN_TARGET], [rs.size, rt.size])
+    ld = domain_confusion(np.vstack([d_s, d_t]), labels).value
+    return lc, ld, traces + [tr for tr in (tr_ds, tr_dt) if tr.x.shape[0]]
+
+
+def step_instance(seed, config):
+    """A micro net and a hand-built batch pair clear of ReLU kinks, or None."""
+    net, rng = make_gradcheck_net(seed)
+    n = int(rng.integers(3, 8))
+    d_in, k = net.spec.extractor.input_dim, net.spec.class_count
+    rare = k - 1
+    xs, xt = rng.standard_normal((n, d_in)), rng.standard_normal((n, d_in))
+    ys, yt = (np.where(rng.random(n) < 0.5, rare, rng.integers(0, k, n)) for _ in range(2))
+    pair = batch_pair(config.method, rare, xs, ys, xt, yt)
+    if pair.routed_source_rows.size + pair.routed_target_rows.size == 0:
+        return None
+    if not trace_clear_of_kinks(*step_terms(net, pair, config)[2]):
+        return None
+    return net, pair
+
+
+def test_composite_adversarial_gradient_matches_finite_differences():
+    grl, w_d, w_c = 0.7, 0.6, 1.7
+    variants = (
+        TrainConfig(method="deerdann", domain_weight=w_d, grl_scale=grl),
+        TrainConfig(method="alldann", domain_weight=w_d, grl_scale=grl),
+        TrainConfig(method="deercoral", coral_weight=w_c, coral_layer="logits"),
+        TrainConfig(method="deercoral", coral_weight=w_c, coral_layer="features"),
+    )
+    for config in variants:
+        checked = 0
+        seed = 0
+        while checked < 3:
+            seed += 1
+            instance = step_instance(seed, config)
+            if instance is None:
+                continue
+            net, pair = instance
+            totals = _Totals()
+            _train_batch(net, pair, config, grl, make_rng(0), totals)
+            lc, term, _ = step_terms(net, pair, config)
+            adversarial = config.method != "deercoral"
+            weight = w_d if adversarial else w_c
+            composite = totals.summary()["composite_loss"]
+            assert composite == pytest.approx(lc + weight * term, rel=1e-12)
+
+            # the reversal layer makes the extractor follow L_C - grl*w*L_D while
+            # the heads follow L_C + w*L_D; covariance alignment has no reversal
+            for part, i, layer in net.parameters():
+                sign = -grl * w_d if adversarial and part == "extractor" else weight
+                for attr, gattr in (("w", "gw"), ("b", "gb")):
+                    param = getattr(layer, attr)
+
+                    def f(mat, layer=layer, attr=attr, sign=sign):
+                        old = getattr(layer, attr)
+                        setattr(layer, attr, mat.reshape(old.shape))
+                        lcv, termv, _ = step_terms(net, pair, config)
+                        setattr(layer, attr, old)
+                        return lcv + sign * termv
+
+                    flat = param.reshape(1, -1).copy()
+                    fd = finite_diff_grad(f, flat, 1e-4).reshape(param.shape)
+                    err = relative_error(getattr(layer, gattr), fd)
+                    assert err < 1e-4, (config.method, config.coral_layer, seed, part, i, attr)
+            checked += 1
