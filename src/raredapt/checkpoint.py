@@ -2,41 +2,40 @@
 
 Byte layout (all integers little-endian):
 
-    offset  size  field
-    0       8     magic b"RDCKPT01" (format name + version)
-    8       4     u32 header length H
-    12      H     header JSON, UTF-8: format_version, config_hash, epoch,
-                  network part shapes, array count
-    12+H    ...   array records, repeated array-count times:
-                      u16 name length, name UTF-8,
-                      u8 ndim, ndim x u64 dims,
-                      float64 raw values (little-endian, row-major)
+    offset  size             field
+    0       8                magic b"RDCKPT02" (format name + version)
+    8       4                u32 header length H
+    12      H                header JSON, UTF-8: format_version, config_hash,
+                             epoch, network part shapes, param_count
+    12+H    8 x param_count  the network's flat parameter vector as one
+                             record of raw float64 values (little-endian)
 
-Parameter values are stored as raw float64 bytes, so save -> load -> forward
-is bit-identical to the pre-save network. A human-readable sidecar
-``<path>.meta.json`` mirrors the header. Loading verifies the magic, the
-declared lengths, and that the file ends exactly after the last array;
-truncated or corrupt files raise without returning partial state.
+The record is ``Network.params`` exactly as the network lays it out (see
+:mod:`raredapt.network`), so save -> load -> forward is bit-identical to the
+pre-save network. A human-readable sidecar ``<path>.meta.json`` mirrors the
+header. Loading verifies the magic, the declared lengths, that
+``param_count`` is the parameter count the network spec implies, and that the
+file ends exactly after the record; truncated, corrupt or mismatched files
+raise without returning partial state. Version-1 files, which stored one
+record per named array, are rejected as an unsupported version.
 
 The header holds no metrics snapshot; a run directory's
 ``selected_metrics.json`` records the selected epoch's metrics. Loading reads
-only the header keys it needs, so older files whose header still carries a
-``metrics`` key load unchanged.
+only the header keys it needs.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import MlpSpec, Network, NetworkSpec
 
-MAGIC = b"RDCKPT01"
-FORMAT_VERSION = 1
+MAGIC = b"RDCKPT02"
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -47,13 +46,13 @@ class CheckpointError(RuntimeError):
 class Checkpoint:
     """A parameter snapshot plus the context needed to reuse it."""
 
-    params: dict[str, np.ndarray]
+    params: np.ndarray  # the flat ``Network.params`` vector
     network_spec: NetworkSpec
     epoch: int
     config_hash: str
 
     def build_network(self) -> Network:
-        net = Network.initialize(self.network_spec, np.random.default_rng(0))
+        net = Network(self.network_spec)
         net.load_state(self.params)
         return net
 
@@ -64,7 +63,6 @@ def _spec_to_dict(spec: NetworkSpec) -> dict:
             "input_dim": m.input_dim,
             "hidden_dims": list(m.hidden_dims),
             "output_dim": m.output_dim,
-            "activation": m.activation,
         }
         for part, m in (
             ("extractor", spec.extractor),
@@ -80,7 +78,6 @@ def _spec_from_dict(payload: dict) -> NetworkSpec:
             input_dim=int(p["input_dim"]),
             hidden_dims=tuple(int(v) for v in p["hidden_dims"]),
             output_dim=int(p["output_dim"]),
-            activation=p["activation"],
         )
 
     return NetworkSpec(
@@ -91,33 +88,26 @@ def _spec_from_dict(payload: dict) -> NetworkSpec:
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
-    names = sorted(cp.params)
+    params = np.ascontiguousarray(cp.params, dtype="<f8")
     header = {
         "format_version": FORMAT_VERSION,
         "config_hash": cp.config_hash,
         "epoch": cp.epoch,
         "network": _spec_to_dict(cp.network_spec),
-        "array_count": len(names),
+        "param_count": params.size,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for name in names:
-            arr = np.ascontiguousarray(cp.params[name], dtype="<f8")
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+        fh.write(params.tobytes())
     with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_checkpoint(path, expect_config_hash: str | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -148,30 +138,20 @@ def load_checkpoint(path, expect_config_hash: str | None = None) -> Checkpoint:
         network_spec = _spec_from_dict(header["network"])
         epoch = int(header["epoch"])
         config_hash = str(header["config_hash"])
-        array_count = int(header["array_count"])
+        param_count = int(header["param_count"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
-    params: dict[str, np.ndarray] = {}
-    for _ in range(array_count):
-        raw, pos = take(pos, 2, "array name length")
-        (name_len,) = struct.unpack("<H", raw)
-        raw, pos = take(pos, name_len, "array name")
-        name = raw.decode("utf-8")
-        raw, pos = take(pos, 1, "array ndim")
-        ndim = raw[0]
-        raw, pos = take(pos, 8 * ndim, "array shape")
-        shape = struct.unpack(f"<{ndim}Q", raw)
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        raw, pos = take(pos, 8 * count, f"array {name!r} data")
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes after last array")
-    if expect_config_hash is not None and expect_config_hash != config_hash:
-        warnings.warn(
-            f"{path}: checkpoint config hash {config_hash[:12]} does not match "
-            f"expected {expect_config_hash[:12]}; resuming across configs",
-            stacklevel=2,
+    if param_count != network_spec.param_count:
+        raise CheckpointError(
+            f"{path}: param_count {param_count} != {network_spec.param_count} "
+            "implied by the network spec"
         )
+    raw, pos = take(pos, 8 * param_count, "parameters")
+    if pos != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes after the parameters")
     return Checkpoint(
-        params=params, network_spec=network_spec, epoch=epoch, config_hash=config_hash
+        params=np.frombuffer(raw, dtype="<f8").astype(np.float64),
+        network_spec=network_spec,
+        epoch=epoch,
+        config_hash=config_hash,
     )

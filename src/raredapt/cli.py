@@ -297,7 +297,6 @@ def cmd_sweep(args) -> int:
         raise CliError(f"counts must be strictly increasing, got {counts}")
     base = _build_train_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     jobs = [
         (
             replace(base, synthetic_count=count, seed=seed),
@@ -312,8 +311,11 @@ def cmd_sweep(args) -> int:
         ) as pool:
             results = list(pool.map(_sweep_run_one, jobs))
     else:
-        _sweep_worker_init(args.data, args.jobs)
-        results = [_sweep_run_one(job) for job in jobs]
+        try:
+            _sweep_worker_init(args.data, args.jobs)
+            results = [_sweep_run_one(job) for job in jobs]
+        finally:  # do not keep the dataset alive after the sweep
+            _SWEEP_STATE.clear()
 
     lines = [",".join(SWEEP_CSV_COLUMNS)]
     failures = {}
@@ -325,6 +327,7 @@ def cmd_sweep(args) -> int:
         cells = [str(config.synthetic_count), str(config.seed)]
         cells += ["" if row[k] is None else repr(float(row[k])) for k in SWEEP_CSV_COLUMNS[2:]]
         lines.append(",".join(cells))
+    out.mkdir(parents=True, exist_ok=True)
     curve_path = out / f"sweep_{args.method}.csv"
     curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if failures:
@@ -365,8 +368,6 @@ def cmd_project(args) -> int:
     checkpoint = load_checkpoint(ckpt_path)
     net = checkpoint.build_network()
     dataset = load_csv(args.data)
-    if args.split not in SPLITS:
-        raise CliError(f"unknown split {args.split!r}; expected one of {SPLITS}")
     indices = dataset.indices(split=args.split, domain="real")
     if args.include_synthetic:
         indices = np.concatenate([indices, dataset.synthetic_pool_indices()])
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="PCA scatter of pre-logit features")
     p.add_argument("--run", required=True, help="run directory with checkpoint.ckpt")
     p.add_argument("--data", required=True)
-    p.add_argument("--split", required=True)
+    p.add_argument("--split", required=True, choices=SPLITS)
     p.add_argument("--out", required=True)
     p.add_argument("--components", type=int, default=2)
     p.add_argument(

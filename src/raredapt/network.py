@@ -16,12 +16,14 @@ contiguous float64 vector ``params`` and their gradients in a second one,
 the leading ``weight_size`` elements. Each ``Layer.w/b/gw/gb`` is a reshaped
 view into those vectors: forward and backward read and accumulate through the
 views, while whole-model operations (the optimizer step, zeroing gradients,
-snapshots, loading state) are single vector operations.
+snapshots, loading state) are single vector operations. Outside this module
+parameter state is only ever that vector: ``snapshot`` copies it,
+``load_state`` writes one back, and a checkpoint stores it as one record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -38,14 +40,11 @@ class MlpSpec:
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
-    activation: str = "relu"
 
     def __post_init__(self):
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(d < 1 for d in dims):
             raise ValueError(f"all layer dims must be >= 1, got {dims}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -89,6 +88,15 @@ class NetworkSpec:
     def class_count(self) -> int:
         return self.classifier.output_dim
 
+    @property
+    def param_count(self) -> int:
+        """Length of a ``Network``'s flat parameter vector: every weight and bias."""
+        return sum(
+            (fan_in + 1) * fan_out
+            for part in (self.extractor, self.classifier, self.discriminator)
+            for fan_in, fan_out in part.layer_dims
+        )
+
 
 def default_network_spec(
     input_dim: int,
@@ -110,14 +118,12 @@ def default_network_spec(
 
 @dataclass
 class Layer:
+    """One dense layer: views of its weights, biases and their gradients."""
+
     w: np.ndarray
     b: np.ndarray
-    gw: np.ndarray = field(init=False)
-    gb: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+    gw: np.ndarray
+    gb: np.ndarray
 
 
 @dataclass
@@ -150,49 +156,41 @@ class Network:
     ``zero_grads``; a training step may therefore combine several partial
     backward passes (e.g. separate source and target batches).
 
-    The constructor copies the given layers' arrays into the flat ``params``
-    vector (see the module docstring) and rebinds each layer's ``w``/``b``/
-    ``gw``/``gb`` to views into ``params`` and ``grads``. Write parameters in
-    place (``layer.w[...] = ...``): assigning a new array to ``layer.w``
-    detaches it from the buffer the optimizer steps.
+    ``Network(spec)`` allocates the flat ``params`` and ``grads`` vectors (see
+    the module docstring), all zeros, and binds each layer's ``w``/``b``/
+    ``gw``/``gb`` as a view into them. Write parameters in place
+    (``layer.w[...] = ...``): assigning a new array to ``layer.w`` detaches it
+    from the buffer the optimizer steps.
     """
 
-    def __init__(self, spec: NetworkSpec, parts: dict[str, list[Layer]]):
+    def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self.parts = parts
-        layers = list(self.parameters())
-        arrays = [(f"{n}.{i}.{a}", layer, a) for a in ("w", "b") for n, i, layer in layers]
-        sizes = [np.size(getattr(layer, a)) for _, layer, a in arrays]
-        self.weight_size = sum(sizes[: len(layers)])
-        self.params = np.empty(sum(sizes))
-        self.grads = np.zeros(sum(sizes))
-        slots = {}
-        start = 0
-        for (key, layer, attr), size in zip(arrays, sizes):
-            value = np.asarray(getattr(layer, attr), dtype=np.float64)
-            span = slice(start, start + size)
-            self.params[span] = value.ravel()
-            setattr(layer, attr, self.params[span].reshape(value.shape))
-            setattr(layer, "g" + attr, self.grads[span].reshape(value.shape))
-            slots[key] = (span, value.shape)
-            start += size
+        dims = [(n, i, d) for n in _PARTS for i, d in enumerate(getattr(spec, n).layer_dims)]
+        self.weight_size = sum(fan_in * fan_out for *_, (fan_in, fan_out) in dims)
+        self.params = np.zeros(spec.param_count)
+        self.grads = np.zeros(spec.param_count)
+        self.parts: dict[str, list[Layer]] = {name: [] for name in _PARTS}
         # '<part>.<i>.<w|b>' -> (slice of params/grads, shape), in parameters() order
-        self.slots = {
-            f"{n}.{i}.{a}": slots[f"{n}.{i}.{a}"] for n, i, _ in layers for a in ("w", "b")
-        }
+        self.slots: dict[str, tuple[slice, tuple[int, ...]]] = {}
+        w_at, b_at = 0, self.weight_size
+        for name, i, (fan_in, fan_out) in dims:
+            w = (slice(w_at, w_at + fan_in * fan_out), (fan_in, fan_out))
+            b = (slice(b_at, b_at + fan_out), (fan_out,))
+            w_at, b_at = w[0].stop, b[0].stop
+            self.slots[f"{name}.{i}.w"], self.slots[f"{name}.{i}.b"] = w, b
+            self.parts[name].append(
+                Layer(*(buf[span].reshape(shape)
+                        for buf in (self.params, self.grads) for span, shape in (w, b)))
+            )
 
     @classmethod
     def initialize(cls, spec: NetworkSpec, rng: np.random.Generator) -> "Network":
         """He-initialized weights, zero biases; draw order is fixed per part."""
-        parts: dict[str, list[Layer]] = {}
-        for name in _PARTS:
-            part_spec: MlpSpec = getattr(spec, name)
-            layers = []
-            for fan_in, fan_out in part_spec.layer_dims:
-                w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-                layers.append(Layer(w=w, b=np.zeros(fan_out)))
-            parts[name] = layers
-        return cls(spec, parts)
+        net = cls(spec)
+        for _, _, layer in net.parameters():
+            fan_in = layer.w.shape[0]
+            layer.w[...] = rng.standard_normal(layer.w.shape) * np.sqrt(2.0 / fan_in)
+        return net
 
     # -- forward ---------------------------------------------------------
 
@@ -266,27 +264,14 @@ class Network:
             for i, layer in enumerate(self.parts[name]):
                 yield name, i, layer
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all weights/biases keyed '<part>.<i>.<w|b>'.
+    def snapshot(self) -> np.ndarray:
+        """A copy of the flat parameter vector ``params``."""
+        return self.params.copy()
 
-        The values are views into one copy of ``params``.
-        """
-        flat = self.params.copy()
-        return {key: flat[span].reshape(shape) for key, (span, shape) in self.slots.items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Write a ``snapshot``-style dict into ``params``; nothing is written
-        unless every key is present, known and of the right shape."""
-        values = []
-        for key, (span, shape) in self.slots.items():
-            if key not in state:
-                raise KeyError(f"missing parameter {key}")
-            arr = np.asarray(state[key], dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"shape mismatch for {key}: {arr.shape} != {shape}")
-            values.append((span, arr))
-        extra = set(state) - set(self.slots)
-        if extra:
-            raise ValueError(f"unexpected parameters: {sorted(extra)}")
-        for span, arr in values:
-            self.params[span] = arr.ravel()
+    def load_state(self, params: np.ndarray) -> None:
+        """Write a ``snapshot`` vector into ``params``; nothing is written
+        unless its shape matches."""
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != self.params.shape:
+            raise ValueError(f"parameter vector shape {params.shape} != {self.params.shape}")
+        self.params[...] = params

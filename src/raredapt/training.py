@@ -375,7 +375,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
     opt = Adam(net, config)
     jitter_rng = make_rng(config.seed, _JITTER_STREAM)
     history: list[EpochRecord] = []
-    snapshots: list[dict[str, np.ndarray]] = []
+    snapshots: list[np.ndarray] = []
     for epoch in range(config.epochs):
         grl_scale = config.effective_grl_scale(epoch)
         totals = _Totals()

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from raredapt import cli
 from raredapt.checkpoint import MAGIC
 from raredapt.cli import main
 
@@ -49,6 +50,7 @@ def test_sweep_cells_identical_with_one_and_two_jobs(tmp_path):
     for jobs, out in outs.items():
         assert main(sweep_argv(data, out, jobs=jobs)) == 0
         assert not (out / "failures.json").exists()
+        assert cli._SWEEP_STATE == {}  # the in-process sweep lets go of the dataset
     cells = sorted(p.name for p in (outs[1] / "cells").iterdir())
     assert len(cells) == 4
     assert cells == sorted(p.name for p in (outs[2] / "cells").iterdir())
@@ -93,6 +95,8 @@ def test_sweep_unreadable_data_fails_alike_with_one_and_two_jobs(tmp_path, capsy
             capsys.readouterr()
             assert main(sweep_argv(path, tmp_path / f"sweep{jobs}", jobs=jobs)) == 1
             errors.append(capsys.readouterr().err)
+            assert not (tmp_path / f"sweep{jobs}").exists()
+            assert cli._SWEEP_STATE == {}
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: ") and reason in errors[0]
         assert errors[0].count("\n") == 1
@@ -104,12 +108,34 @@ def test_project_malformed_checkpoint_header_is_a_clean_error(tmp_path, capsys):
     assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
                  "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 0
     ckpt = run / "checkpoint.ckpt"
-    rewrite_header(ckpt, lambda header: {k: v for k, v in header.items() if k != "network"})
-    capsys.readouterr()
-    assert main(["project", "--run", str(run), "--data", str(data), "--split", "trans_test",
-                 "--out", str(tmp_path / "proj")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(ckpt) in err and "KeyError: 'network'" in err
+    original = ckpt.read_bytes()
+
+    def wider_hidden(header):  # the parameter record no longer fits the spec
+        header["network"]["extractor"]["hidden_dims"] = [63]
+        return header
+
+    for edit, reason in (
+        (lambda header: {k: v for k, v in header.items() if k != "network"}, "KeyError: 'network'"),
+        (wider_hidden, "implied by the network spec"),
+    ):
+        ckpt.write_bytes(original)
+        rewrite_header(ckpt, edit)
+        capsys.readouterr()
+        assert main(["project", "--run", str(run), "--data", str(data), "--split", "trans_test",
+                     "--out", str(tmp_path / "proj")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err and reason in err
+
+
+def test_project_unknown_split_is_a_usage_error(tmp_path, capsys):
+    # rejected by the parser, before any checkpoint or CSV is read
+    out = tmp_path / "proj"
+    with pytest.raises(SystemExit) as info:
+        main(["project", "--run", str(tmp_path / "run"), "--data", str(tmp_path / "data.csv"),
+              "--split", "bogus", "--out", str(out)])
+    assert info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def checkpoint_header(path) -> dict:

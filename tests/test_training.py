@@ -37,9 +37,7 @@ def test_adam_zero_grads_no_l2_is_noop():
     opt = Adam(net, cfg)
     net.zero_grads()
     opt.step()
-    after = net.snapshot()
-    for key in before:
-        assert np.array_equal(before[key], after[key])
+    assert np.array_equal(net.snapshot(), before)
 
 
 def test_adam_first_step_magnitude_is_lr():
@@ -129,8 +127,7 @@ def test_adam_non_finite_gradient_leaves_state_untouched():
     net.parts["discriminator"][-1].gb[1] = np.nan
     with pytest.raises(TrainingDiverged, match=r"discriminator\.1\.b at step 2"):
         opt.step()
-    for key, value in net.snapshot().items():
-        assert np.array_equal(value, params[key]), key
+    assert np.array_equal(net.snapshot(), params)
     assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
     assert opt.t == 1
 
@@ -151,8 +148,7 @@ def test_train_histories_deterministic(tiny_dataset):
     cp1, h1 = train(tiny_dataset, cfg)
     cp2, h2 = train(tiny_dataset, cfg)
     assert cp1.epoch == cp2.epoch
-    for key in cp1.params:
-        assert np.array_equal(cp1.params[key], cp2.params[key])
+    assert np.array_equal(cp1.params, cp2.params)
     for r1, r2 in zip(h1, h2):
         assert r1.classification_loss == r2.classification_loss
         assert r1.domain_loss == r2.domain_loss or (
@@ -179,8 +175,7 @@ def test_ablated_methods_share_identical_trajectories(tiny_dataset):
     for name in ("coral0", "dann0"):
         cp, hist = runs[name]
         assert cp.epoch == base_cp.epoch
-        for key in base_cp.params:
-            assert np.array_equal(cp.params[key], base_cp.params[key]), (name, key)
+        assert np.array_equal(cp.params, base_cp.params), name
         for r1, r2 in zip(base_hist, hist):
             assert r1.classification_loss == r2.classification_loss
 
