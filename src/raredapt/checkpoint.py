@@ -14,10 +14,13 @@ The record is ``Network.params`` exactly as the network lays it out (see
 :mod:`raredapt.network`), so save -> load -> forward is bit-identical to the
 pre-save network. A human-readable sidecar ``<path>.meta.json`` mirrors the
 header. Loading verifies the magic, the declared lengths, that
-``param_count`` is the parameter count the network spec implies, and that the
-file ends exactly after the record; truncated, corrupt or mismatched files
-raise without returning partial state. Version-1 files, which stored one
-record per named array, are rejected as an unsupported version.
+``param_count`` is the parameter count the network spec implies, that the
+file ends exactly after the record, and that every parameter is finite (the
+forward pass does not scan values, see :mod:`raredapt.network`); truncated,
+corrupt or mismatched files raise without returning partial state.
+Version-1 files, which stored one record per named array, are rejected as
+an unsupported version. Saving rejects a parameter vector whose length
+disagrees with the spec before it writes anything.
 
 The header holds no metrics snapshot; a run directory's
 ``selected_metrics.json`` records the selected epoch's metrics. Loading reads
@@ -88,7 +91,14 @@ def _spec_from_dict(payload: dict) -> NetworkSpec:
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
+    """Write ``path`` and its ``.meta.json`` sidecar; a parameter vector whose
+    length disagrees with the network spec raises before either is written."""
     params = np.ascontiguousarray(cp.params, dtype="<f8")
+    if params.size != cp.network_spec.param_count:
+        raise CheckpointError(
+            f"{path}: {params.size} parameters, but the network spec implies "
+            f"{cp.network_spec.param_count}"
+        )
     header = {
         "format_version": FORMAT_VERSION,
         "config_hash": cp.config_hash,
@@ -149,8 +159,11 @@ def load_checkpoint(path) -> Checkpoint:
     raw, pos = take(pos, 8 * param_count, "parameters")
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes after the parameters")
+    params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise CheckpointError(f"{path}: non-finite parameter values")
     return Checkpoint(
-        params=np.frombuffer(raw, dtype="<f8").astype(np.float64),
+        params=params,
         network_spec=network_spec,
         epoch=epoch,
         config_hash=config_hash,

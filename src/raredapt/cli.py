@@ -277,6 +277,17 @@ def _sweep_run_one(job: tuple[TrainConfig, Path]) -> dict | str:
         return str(exc)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v != ""]
@@ -366,6 +377,12 @@ def cmd_project(args) -> int:
     if not ckpt_path.is_file():
         raise CliError(f"run directory {run} has no checkpoint.ckpt")
     checkpoint = load_checkpoint(ckpt_path)
+    feature_dim = checkpoint.network_spec.feature_dim
+    if args.components > feature_dim:
+        raise CliError(
+            f"--components {args.components} exceeds the feature dimension {feature_dim} "
+            f"of {ckpt_path}"
+        )
     net = checkpoint.build_network()
     dataset = load_csv(args.data)
     indices = dataset.indices(split=args.split, domain="real")
@@ -461,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True, choices=SPLITS)
     p.add_argument("--out", required=True)
-    p.add_argument("--components", type=int, default=2)
+    p.add_argument("--components", type=_positive_int, default=2,
+                   help="principal components to keep, 1 to the feature dimension")
     p.add_argument(
         "--include-synthetic",
         action=argparse.BooleanOptionalAction,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -144,7 +145,13 @@ class GenSpec:
 
 @dataclass
 class Dataset:
-    """Column-oriented sample store with validated invariants."""
+    """Column-oriented sample store with validated invariants.
+
+    The arrays are validated once, when the Dataset is built, and are then
+    trusted: training and evaluation do not rescan them. A Dataset is meant
+    to be read, not edited; ``real_split_indices`` is computed on first use
+    and not updated if ``splits`` or ``domains`` change later.
+    """
 
     features: np.ndarray
     class_ids: np.ndarray
@@ -245,6 +252,14 @@ class Dataset:
         if domain is not None:
             mask &= self.domains == domain
         return np.flatnonzero(mask)
+
+    @cached_property
+    def real_split_indices(self) -> dict[str, np.ndarray]:
+        """Read-only indices of the real samples of each split, computed once."""
+        out = {split: self.indices(split=split, domain="real") for split in SPLITS}
+        for idx in out.values():
+            idx.flags.writeable = False
+        return out
 
     def train_real_indices(self) -> np.ndarray:
         return self.indices(split="train", domain="real")

@@ -7,6 +7,10 @@ returns its value together with the gradient w.r.t. its input
 logits/activations so the network backward pass never has to re-derive loss
 gradients.
 
+Inputs are trusted to be finite 2-D float arrays: the losses check shapes and
+labels, not values, so a NaN or Inf input yields a non-finite value, which
+the training step reports as divergence (see :mod:`raredapt.training`).
+
 Domain label convention: 0 = source, 1 = target. The discriminator's two logit
 columns follow the same order.
 """
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import as_matrix, require_finite, softmax_rows
+from .numerics import _softmax
 
 DOMAIN_SOURCE = 0
 DOMAIN_TARGET = 1
@@ -47,14 +51,15 @@ def cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> LossValue:
 
     Gradient w.r.t. logits is (softmax - onehot) / n.
     """
-    logits = as_matrix(logits, "logits")
     n, k = logits.shape
+    if n < 1 or k < 2:
+        raise ValueError(f"cross_entropy needs n >= 1 and K >= 2, got shape {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range [0, {k}): {labels[(labels < 0) | (labels >= k)][0]}")
-    probs = softmax_rows(logits)
+    probs = _softmax(logits)
     rows = np.arange(n)
     # true-class probability can underflow to exactly 0 for huge margins; the
     # resulting inf loss is the caller's divergence signal, not an error here
@@ -70,18 +75,15 @@ def domain_confusion(logits: np.ndarray, domain_labels: Sequence[int]) -> LossVa
     """Two-class cross-entropy of the discriminator (source vs target).
 
     An empty batch is an error: it signals that routing selected no rare-class
-    samples, and the caller is expected to skip the term instead.
+    samples, and the caller is expected to skip the term instead. With two
+    logit columns, the label range check of :func:`cross_entropy` admits only
+    DOMAIN_SOURCE and DOMAIN_TARGET.
     """
-    logits = as_matrix(logits, "discriminator logits")
     if logits.shape[0] < 1:
         raise ValueError("domain_confusion got an empty batch; skip the term instead")
     if logits.shape[1] != 2:
         raise ValueError(f"discriminator logits must have 2 columns, got {logits.shape[1]}")
-    labels = np.asarray(domain_labels, dtype=np.int64)
-    bad = (labels != DOMAIN_SOURCE) & (labels != DOMAIN_TARGET)
-    if bad.any():
-        raise ValueError(f"domain label must be {DOMAIN_SOURCE} or {DOMAIN_TARGET}")
-    return cross_entropy(logits, labels)
+    return cross_entropy(logits, domain_labels)
 
 
 def covariance(batch: np.ndarray) -> np.ndarray:
@@ -89,14 +91,11 @@ def covariance(batch: np.ndarray) -> np.ndarray:
 
     Computed as (B'B - (1'B)'(1'B)/n) / (n-1); symmetric PSD up to roundoff.
     """
-    batch = as_matrix(batch, "covariance input")
     n, _ = batch.shape
     if n < 2:
         raise ValueError(f"covariance needs at least 2 rows, got {n}")
-    require_finite(batch, "covariance input")
     col_sums = batch.sum(axis=0, keepdims=True)
-    cov = (batch.T @ batch - col_sums.T @ col_sums / n) / (n - 1)
-    return require_finite(cov, "covariance output")
+    return (batch.T @ batch - col_sums.T @ col_sums / n) / (n - 1)
 
 
 def coral_loss(source_acts: np.ndarray, target_acts: np.ndarray) -> CoralValue:
@@ -106,8 +105,6 @@ def coral_loss(source_acts: np.ndarray, target_acts: np.ndarray) -> CoralValue:
     d/dS = S_centered (C_S - C_T) / (d^2 (n_S - 1)), and the negated analogue
     for the target batch.
     """
-    source_acts = as_matrix(source_acts, "source activations")
-    target_acts = as_matrix(target_acts, "target activations")
     if source_acts.shape[1] != target_acts.shape[1]:
         raise ValueError(
             f"dimension mismatch: source {source_acts.shape} vs target {target_acts.shape}"

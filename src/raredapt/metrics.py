@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import SPLITS, Dataset
 from .network import Network
+from .numerics import require_finite
 
 
 @dataclass
@@ -49,21 +50,24 @@ def evaluate(
     """Argmax-of-logits evaluation of the real samples in a split.
 
     Classes absent from the split have undefined (NaN) accuracy and are
-    excluded from the macro average.
+    excluded from the macro average. The split's rows come from the
+    Dataset's cached ``real_split_indices``. The logits are checked once:
+    a network holding NaN or Inf parameters raises NonFiniteError instead of
+    returning the argmax of garbage.
     """
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
     rare = dataset.rare_class_id if rare_class_id is None else rare_class_id
-    idx = dataset.indices(split=split, domain="real")
+    idx = dataset.real_split_indices[split]
     if idx.size == 0:
         raise ValueError(f"split {split!r} has no real samples")
     features, _ = net.forward_features(dataset.features[idx])
     logits, _ = net.forward_classifier(features)
+    require_finite(logits, f"{split} logits")
     preds = np.argmax(logits, axis=1)
     truth = dataset.class_ids[idx]
     k = dataset.num_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (truth, preds), 1)
+    confusion = np.bincount(truth * k + preds, minlength=k * k).reshape(k, k)
     row_totals = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_class = np.where(row_totals > 0, np.diag(confusion) / row_totals, np.nan)

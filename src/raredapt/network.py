@@ -5,9 +5,17 @@ two-way domain discriminator head. Each part runs forward and backward on its
 own: ``backward(part, trace, dout)`` accumulates that part's gradients from a
 cached forward trace and returns the gradient w.r.t. the part's input, so the
 training step composes the heads, the gradient reversal layer and the
-extractor itself (see :mod:`raredapt.training`). Backprop is written out by
-hand; every gradient in here is validated against central finite differences
-in the test suite.
+extractor itself (see :mod:`raredapt.training`). The extractor's input is
+data, which has no gradient to take, so its ``backward`` skips that last
+product and returns ``None``. Backprop is written out by hand; every gradient
+in here is validated against central finite differences in the test suite.
+
+Forward and backward check shapes only: an input must be a 2-D float array
+of the part's input width, and an upstream gradient must match the part's
+output. Values are not scanned. Inputs come from a ``Dataset``, which checked
+its features when it was built, or from another part; a NaN or Inf that
+arises on the way reaches the losses and is caught by the training step's
+loss and gradient checks, or by ``evaluate``'s check of its logits.
 
 Parameter layout: all weights and biases of a ``Network`` live in one
 contiguous float64 vector ``params`` and their gradients in a second one,
@@ -27,8 +35,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-
-from .numerics import as_matrix, require_finite
 
 _PARTS = ("extractor", "classifier", "discriminator")
 
@@ -196,12 +202,10 @@ class Network:
 
     def _forward_part(self, name: str, x: np.ndarray, activate_last: bool) -> PartTrace:
         part_spec: MlpSpec = getattr(self.spec, name)
-        x = as_matrix(x, f"{name} input")
-        if x.shape[1] != part_spec.input_dim:
+        if x.ndim != 2 or x.shape[1] != part_spec.input_dim:
             raise ValueError(
                 f"{name} expects input dim {part_spec.input_dim}, got shape {x.shape}"
             )
-        require_finite(x, f"{name} input")
         layers = self.parts[name]
         pre, act = [], []
         a = x
@@ -213,7 +217,6 @@ class Network:
             else:
                 a = z
             act.append(a)
-        require_finite(a, f"{name} output")
         return PartTrace(x=x, pre=pre, act=act)
 
     def forward_features(self, x: np.ndarray) -> tuple[np.ndarray, PartTrace]:
@@ -230,12 +233,13 @@ class Network:
 
     # -- backward --------------------------------------------------------
 
-    def backward(self, part: str, trace: PartTrace, dout: np.ndarray) -> np.ndarray:
+    def backward(self, part: str, trace: PartTrace, dout: np.ndarray) -> np.ndarray | None:
         """Accumulate one part's gradients; return the gradient w.r.t. its input.
 
         ``trace`` is that part's forward trace and ``dout`` the gradient w.r.t.
         its output. The extractor applies the activation after its last layer,
-        the two heads do not.
+        the two heads do not. The extractor's input is data, so its input
+        gradient is never computed and ``None`` is returned.
         """
         layers = self.parts[part]
         activate_last = part == "extractor"
@@ -250,8 +254,9 @@ class Network:
             inp = trace.act[i - 1] if i > 0 else trace.x
             layers[i].gw += inp.T @ g
             layers[i].gb += g.sum(axis=0)
-            g = g @ layers[i].w.T
-        return g
+            if i or not activate_last:
+                g = g @ layers[i].w.T
+        return None if activate_last else g
 
     # -- parameter access --------------------------------------------------
 

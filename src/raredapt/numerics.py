@@ -1,10 +1,16 @@
-"""Dense float64 matrix helpers, seeded RNG streams, and a finite-difference
-gradient oracle.
+"""Dense float64 matrix helpers and seeded RNG streams.
 
 Every matrix in this package is a plain 2-D ``numpy.ndarray`` with dtype
-float64 in row-major order. The helpers here validate shapes and finiteness so
-numerical corruption (overflow, NaN propagation) surfaces as an error close to
-its origin instead of as silent garbage downstream.
+float64 in row-major order. :func:`as_matrix` and :func:`require_finite` are
+the validation helpers, and they run at the boundaries, not inside the
+training step: a ``Dataset`` checks its features when it is built,
+``TrainConfig`` its fields, ``train`` the labels once on entry, and
+``evaluate`` its logits. The step itself runs on arrays it made from those,
+so a NaN or Inf that arises inside it (overflow, a corrupted input row)
+surfaces through the step's two whole-value checks: the composite loss and
+the optimizer's gradient check (see :mod:`raredapt.training`).
+:func:`softmax_rows` validates its input for outside callers; the
+cross-entropy loss uses the unchecked :func:`_softmax` core.
 
 Randomness goes through :func:`make_rng`, which builds a PCG64 generator from
 an integer seed plus optional integer stream keys. PCG64 is a documented fixed
@@ -13,8 +19,6 @@ streams on every platform.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -56,48 +60,11 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     if n < 1 or k < 2:
         raise ValueError(f"softmax_rows needs n >= 1 and K >= 2, got shape {logits.shape}")
     require_finite(logits, "softmax input")
+    return _softmax(logits)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """:func:`softmax_rows` without its checks, for logits the network made."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
-
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-4
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a matrix.
-
-    Entry i is (f(x + h*e_i) - f(x - h*e_i)) / (2h). Used throughout the test
-    suite as the independent oracle for analytic gradients; keep it free of any
-    shortcuts shared with the code it validates.
-    """
-    if h <= 0:
-        raise ValueError(f"step size h must be positive, got {h}")
-    x = as_matrix(x, "finite_diff_grad input")
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        f_plus = float(f(x))
-        x[idx] = orig - h
-        f_minus = float(f(x))
-        x[idx] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"non-finite function value while perturbing entry {idx}")
-        grad[idx] = (f_plus - f_minus) / (2.0 * h)
-    return grad
-
-
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius-norm relative discrepancy, ||a - b|| / max(||a||, ||b||).
-
-    Returns 0 when both arrays are exactly zero. This is the error measure all
-    gradient checks in the repo are stated in.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = max(np.linalg.norm(a), np.linalg.norm(b))
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a - b) / denom)

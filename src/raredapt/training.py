@@ -35,7 +35,7 @@ from .domains import METHODS, BatchPair, build_domains, paired_sampler
 from .losses import DOMAIN_SOURCE, DOMAIN_TARGET, coral_loss, cross_entropy, domain_confusion
 from .metrics import RunMetrics, evaluate
 from .network import Network, default_network_spec, grl_backward
-from .numerics import NonFiniteError, make_rng
+from .numerics import make_rng
 
 _INIT_STREAM = 20
 _JITTER_STREAM = 21
@@ -97,6 +97,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        non_finite = [
+            k for k, v in asdict(self).items() if isinstance(v, float) and not math.isfinite(v)
+        ]
+        if non_finite:
+            raise ValueError(f"{', '.join(non_finite)} must be finite")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -307,9 +312,12 @@ def _train_batch(
         composite += config.coral_weight * coral.value
 
     if not math.isfinite(composite):
-        raise TrainingDiverged(
-            f"non-finite loss (classification {classification.value!r}, composite {composite!r})"
-        )
+        terms = f"classification {classification.value!r}"
+        if confusion is not None:
+            terms += f", domain {confusion.value!r}"
+        if coral is not None:
+            terms += f", coral {coral.value!r}"
+        raise TrainingDiverged(f"non-finite loss ({terms}, composite {composite!r})")
     weight = config.coral_weight
     coral_on_logits = coral is not None and config.coral_layer == "logits"
     if confusion is not None:
@@ -351,11 +359,28 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
     """Run the full optimization; returns the selected checkpoint and history.
 
     Deterministic: identical dataset + config reproduce the history and the
-    selected parameters bit for bit. A non-finite loss, activation or gradient
-    raises TrainingDiverged naming the epoch and batch, before the optimizer
-    changes anything; other errors, such as a label out of range, propagate
-    unchanged.
+    selected parameters bit for bit.
+
+    Inputs are checked at the boundary and the step then trusts its arrays:
+    the Dataset checked its features when it was built, ``TrainConfig`` its
+    fields, and the labels are checked here once, so a label out of range
+    raises a plain ValueError before any step. Inside the step, two checks
+    catch numerical divergence, each raising TrainingDiverged that names the
+    epoch and batch before the optimizer changes anything:
+
+    - the composite loss: a NaN or Inf in an input row, an activation or a
+      loss term makes it non-finite; the message lists each term's value,
+      so a bad domain or coral term points at the discriminator or the
+      alignment;
+    - ``Adam.step``'s check of the whole gradient, which names the first
+      non-finite parameter slot.
+
+    After each epoch ``evaluate`` checks its logits and raises NonFiniteError
+    naming the split. Any other error propagates unchanged.
     """
+    labels = dataset.class_ids
+    if labels.size and (labels.min() < 0 or labels.max() >= dataset.num_classes):
+        raise ValueError(f"label out of range [0, {dataset.num_classes}) in the dataset")
     net_spec = default_network_spec(
         dataset.feature_dim,
         dataset.num_classes,
@@ -376,24 +401,30 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
     jitter_rng = make_rng(config.seed, _JITTER_STREAM)
     history: list[EpochRecord] = []
     snapshots: list[np.ndarray] = []
-    for epoch in range(config.epochs):
-        grl_scale = config.effective_grl_scale(epoch)
-        totals = _Totals()
-        for batch_i, pair in enumerate(
-            paired_sampler(org, config.batch_size, config.seed, epoch)
-        ):
-            try:
-                _train_batch(net, pair, config, grl_scale, jitter_rng, totals)
-                opt.step()
-            except (TrainingDiverged, NonFiniteError) as exc:
-                raise TrainingDiverged(
-                    f"run aborted at epoch {epoch} batch {batch_i}: {exc}"
-                ) from exc
-        split_metrics = {
-            split: evaluate(net, dataset, split, org.rare_class_id) for split in SPLITS
-        }
-        history.append(EpochRecord(epoch=epoch, split_metrics=split_metrics, **totals.summary()))
-        snapshots.append(net.snapshot())
+    # Non-finite values are reported by the loss, gradient and logits checks,
+    # not by numpy's floating-point warnings: an Inf input row or an
+    # overflowing product becomes a NaN loss, which aborts the run as divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            grl_scale = config.effective_grl_scale(epoch)
+            totals = _Totals()
+            for batch_i, pair in enumerate(
+                paired_sampler(org, config.batch_size, config.seed, epoch)
+            ):
+                try:
+                    _train_batch(net, pair, config, grl_scale, jitter_rng, totals)
+                    opt.step()
+                except TrainingDiverged as exc:
+                    raise TrainingDiverged(
+                        f"run aborted at epoch {epoch} batch {batch_i}: {exc}"
+                    ) from exc
+            split_metrics = {
+                split: evaluate(net, dataset, split, org.rare_class_id) for split in SPLITS
+            }
+            history.append(
+                EpochRecord(epoch=epoch, split_metrics=split_metrics, **totals.summary())
+            )
+            snapshots.append(net.snapshot())
 
     selected = select_epoch(
         [rec.split_metrics["trans_val"].rare_acc for rec in history],

@@ -12,6 +12,7 @@ import raredapt.cli
 import raredapt.training
 from raredapt import TrainConfig
 from raredapt.cli import main
+from raredapt.data import SPLITS
 
 from test_cli import sweep_argv, write_tiny_csv
 
@@ -74,6 +75,12 @@ def test_traced_table_run_produces_every_step_metric(tracing, tiny_dataset, tmp_
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts, 1)
     assert catalogue.PRODUCED["table"] - {"trace.overhead"} <= set(metrics)
+    # every split is evaluated in sight of the tracer: one call and one
+    # forward_features pass per split, epoch and method
+    runs = len(catalogue.METHODS)  # one epoch each
+    assert metrics["metrics.evaluate.calls"] == len(SPLITS) * runs
+    real_rows = sum(tiny_dataset.indices(split=s, domain="real").size for s in SPLITS)
+    assert metrics["metrics.evaluate.rows"] == real_rows * runs
     assert metrics["domains.paired_sampler.batches"] == metrics["training.adam_step.calls"]
     train_ns = sum(span[3] for span in tracer.spans if span[0] == "training.train")
     assert sum(span[4] for span in tracer.spans) == train_ns

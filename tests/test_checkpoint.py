@@ -105,6 +105,30 @@ def test_sidecar_metadata_written(tmp_path):
     assert '"config_hash": "abc123"' in sidecar.read_text()
 
 
+def test_save_rejects_params_that_disagree_with_the_spec(tmp_path):
+    cp = make_checkpoint()
+    assert cp.network_spec.param_count == 79
+    cp.params = np.zeros(3)
+    path = tmp_path / "model.ckpt"
+    message = "3 parameters, but the network spec implies 79"
+    with pytest.raises(CheckpointError, match=message) as err:
+        save_checkpoint(cp, path)
+    assert str(path) in str(err.value)
+    assert not path.exists()
+    assert not (tmp_path / "model.ckpt.meta.json").exists()
+
+
+def test_non_finite_parameter_rejected_on_load(tmp_path):
+    # the forward pass trusts parameter values, so the file boundary checks them
+    cp = make_checkpoint()
+    cp.params[5] = np.nan
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(cp, path)
+    with pytest.raises(CheckpointError, match="non-finite parameter values") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
 def test_truncated_file_errors_cleanly(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(), path)

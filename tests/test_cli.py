@@ -5,12 +5,12 @@ import struct
 
 import pytest
 
-from raredapt import cli
+from raredapt import cli, save_checkpoint
 from raredapt.checkpoint import MAGIC
 from raredapt.cli import main
 
 from conftest import tiny_gen_spec
-from test_checkpoint import rewrite_header
+from test_checkpoint import make_checkpoint, rewrite_header
 
 
 def write_tiny_csv(tmp_path):
@@ -135,6 +135,25 @@ def test_project_unknown_split_is_a_usage_error(tmp_path, capsys):
               "--split", "bogus", "--out", str(out)])
     assert info.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_project_components_out_of_range_fail_before_the_csv_is_read(tmp_path, capsys):
+    # below 1 is a usage error; above the checkpoint's feature dimension (3)
+    # fails right after the checkpoint load. The CSV does not exist, so an
+    # attempt to read it would report a different error.
+    run, out = tmp_path / "run", tmp_path / "proj"
+    run.mkdir()
+    save_checkpoint(make_checkpoint(), run / "checkpoint.ckpt")
+    argv = ["project", "--run", str(run), "--data", str(tmp_path / "missing.csv"),
+            "--split", "trans_test", "--out", str(out), "--components"]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["0"])
+    assert info.value.code == 2
+    assert "must be >= 1, got 0" in capsys.readouterr().err
+    assert main(argv + ["4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --components 4 exceeds the feature dimension 3")
     assert not out.exists()
 
 

@@ -6,10 +6,10 @@ from raredapt import (
     covariance,
     cross_entropy,
     domain_confusion,
-    finite_diff_grad,
     make_rng,
-    relative_error,
 )
+
+from oracles import finite_diff_grad, relative_error
 
 
 def covariance_oracle(batch):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from raredapt import Network, comparison_table, evaluate, make_rng, table_row
+from raredapt import NonFiniteError, Network, comparison_table, evaluate, make_rng, table_row
 from raredapt.data import Dataset
 from raredapt.metrics import TABLE_COLUMNS
 from raredapt.network import MlpSpec, NetworkSpec
@@ -68,6 +68,13 @@ def test_confusion_trace_equals_overall():
     m = evaluate(net, ds, "trans_test", rare_class_id=2)
     assert m.overall == np.trace(m.confusion) / m.confusion.sum()
     assert np.array_equal(m.confusion.sum(axis=1), [4, 3, 2])
+    # reference: count (truth, prediction) pairs one row at a time
+    idx = ds.indices(split="trans_test", domain="real")
+    logits, _ = net.forward_classifier(net.forward_features(ds.features[idx])[0])
+    expected = np.zeros((3, 3), dtype=np.int64)
+    for truth, pred in zip(ds.class_ids[idx], np.argmax(logits, axis=1)):
+        expected[truth, pred] += 1
+    assert np.array_equal(m.confusion, expected)
 
 
 def test_macro_other_matches_brute_force():
@@ -105,6 +112,14 @@ def test_evaluate_rejects_unknown_or_empty_split():
     ds = handmade_dataset(BASE_COUNTS)
     with pytest.raises(ValueError, match="unknown split"):
         evaluate(zero_logit_net(), ds, "test")
+
+
+def test_evaluate_rejects_non_finite_logits():
+    # a NaN parameter must not turn into an argmax over garbage
+    net = zero_logit_net()
+    net.parts["classifier"][0].b[1] = np.nan
+    with pytest.raises(NonFiniteError, match="non-finite values in cis_test logits"):
+        evaluate(net, handmade_dataset(BASE_COUNTS), "cis_test", rare_class_id=2)
 
 
 def test_metrics_dict_round_trip():

@@ -7,13 +7,13 @@ from raredapt import (
     cross_entropy,
     grl_backward,
     make_rng,
-    relative_error,
     softmax_rows,
 )
 from raredapt.network import Layer, MlpSpec, NetworkSpec, default_network_spec
 from raredapt.training import _Totals, _train_batch
 
 from conftest import batch_pair
+from oracles import relative_error
 
 
 def small_spec():
@@ -138,7 +138,8 @@ def test_backward_without_discriminator_equals_plain_classifier_backprop():
     features, tr_f = net.forward_features(x)
     logits, tr_c = net.forward_classifier(features)
     loss = cross_entropy(logits, labels)
-    net.backward("extractor", tr_f, net.backward("classifier", tr_c, loss.dlogits))
+    # the extractor's input is data: no input gradient is computed or returned
+    assert net.backward("extractor", tr_f, net.backward("classifier", tr_c, loss.dlogits)) is None
     expected = manual_classifier_grads(net, x, labels)
     for part, i, layer in net.parameters():
         if part == "discriminator":

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from raredapt import finite_diff_grad, make_rng, relative_error, softmax_rows
+from raredapt import make_rng, softmax_rows
+
+from oracles import finite_diff_grad, relative_error
 
 
 def test_softmax_uniform_row():

@@ -11,10 +11,8 @@ from raredapt import (
     coral_loss,
     cross_entropy,
     domain_confusion,
-    finite_diff_grad,
     generate,
     make_rng,
-    relative_error,
     select_epoch,
     train,
 )
@@ -23,6 +21,7 @@ from raredapt.network import MlpSpec, NetworkSpec
 from raredapt.training import _Totals, _train_batch
 
 from conftest import batch_pair, make_gradcheck_net, tiny_gen_spec, trace_clear_of_kinks
+from oracles import finite_diff_grad, relative_error
 
 
 def scalar_net():
@@ -212,6 +211,17 @@ def test_train_mislabelled_batch_raises_plain_value_error():
     assert not isinstance(info.value, TrainingDiverged)
 
 
+@pytest.mark.parametrize("method", ["baseline", "deerdann", "alldann", "deercoral"])
+def test_train_nan_feature_written_after_build_diverges_in_epoch_0(method):
+    # the Dataset checked its features when it was built; the step trusts
+    # them, and the composite-loss check still catches the corrupted row
+    dataset = generate(tiny_gen_spec())
+    dataset.features[dataset.train_real_indices()[0], 0] = np.nan
+    cfg = TrainConfig(method=method, epochs=2, synthetic_count=40, batch_size=32)
+    with pytest.raises(TrainingDiverged, match=r"aborted at epoch 0 batch \d+: non-finite loss"):
+        train(dataset, cfg)
+
+
 def test_grl_ramp_schedule():
     cfg = TrainConfig(method="deerdann", grl_scale=2.0, grl_ramp_epochs=4)
     assert cfg.effective_grl_scale(0) == 0.5
@@ -257,6 +267,9 @@ def test_config_validation():
         TrainConfig(method="baseline", batch_size=1)
     with pytest.raises(ValueError, match="coral_layer"):
         TrainConfig(method="deercoral", coral_layer="embeddings")
+    # a NaN weight would pass the sign checks and surface only as divergence
+    with pytest.raises(ValueError, match="^coral_weight, grl_scale must be finite$"):
+        TrainConfig(method="deercoral", coral_weight=math.nan, grl_scale=math.inf)
     cfg = TrainConfig(method="baseline")
     assert cfg.coral_weight == 0.5  # default trade-off
     assert cfg.config_hash() == TrainConfig(method="baseline").config_hash()
