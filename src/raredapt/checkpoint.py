@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,21 +58,6 @@ class Checkpoint:
         net = Network(self.network_spec)
         net.load_state(self.params)
         return net
-
-
-def _spec_to_dict(spec: NetworkSpec) -> dict:
-    return {
-        part: {
-            "input_dim": m.input_dim,
-            "hidden_dims": list(m.hidden_dims),
-            "output_dim": m.output_dim,
-        }
-        for part, m in (
-            ("extractor", spec.extractor),
-            ("classifier", spec.classifier),
-            ("discriminator", spec.discriminator),
-        )
-    }
 
 
 def _spec_from_dict(payload: dict) -> NetworkSpec:
@@ -103,7 +88,7 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
         "format_version": FORMAT_VERSION,
         "config_hash": cp.config_hash,
         "epoch": cp.epoch,
-        "network": _spec_to_dict(cp.network_spec),
+        "network": asdict(cp.network_spec),
         "param_count": params.size,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")

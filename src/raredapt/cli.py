@@ -24,6 +24,13 @@ with one row per successful cell (columns SWEEP_CSV_COLUMNS; a NaN metric is
 written as an empty cell). A cell that fails gets no curve row; its error
 message goes to failures.json under the key count<N>_seed<S>, and the sweep
 still exits 0. A cell whose training fails writes no directory.
+
+The sweep runs its cells in a process pool of min(--jobs, cells) workers;
+each worker parses the dataset CSV in its first cell and keeps it for the
+rest. An unreadable CSV ends the sweep with one error and no output
+directory. A malformed --counts/--seeds list or a --jobs below 1 is a usage
+error (exit 2): counts and seeds are non-negative ints, seeds distinct,
+counts strictly increasing.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -41,9 +49,11 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .data import SPLITS, DataFormatError, GenSpec, class_histogram, generate, load_csv, save_csv
+from .data import (
+    SPLITS, DataFormatError, Dataset, GenSpec, class_histogram, generate, load_csv, save_csv
+)
 from .domains import METHODS
-from .metrics import TABLE_COLUMNS, comparison_table, table_row
+from .metrics import TABLE_COLUMNS, comparison_table, none_if_nan, table_row
 from .projection import bimodality_score, export_scatter, project_features
 from .training import EpochRecord, TrainConfig, TrainingDiverged, train
 
@@ -55,8 +65,6 @@ SWEEP_CSV_COLUMNS = (
     "cis_rare_acc",
     "cis_other_avg",
 )
-
-_TUPLE_FIELDS = {"feature_dims", "classifier_hidden", "discriminator_hidden", "train_counts"}
 
 
 class CliError(RuntimeError):
@@ -74,14 +82,12 @@ def _load_config_payload(path, cls) -> dict:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise CliError(f"unknown {cls.__name__} field(s) in {path}: {', '.join(unknown)}")
-    for key, value in payload.items():
-        if isinstance(value, list) and key in _TUPLE_FIELDS:
-            payload[key] = tuple(value)
-        elif key == "gap_matrix" and value is not None:
-            payload[key] = tuple(tuple(row) for row in value)
-        elif key == "gap_offset_vector" and value is not None:
-            payload[key] = tuple(value)
-    return payload
+    return {key: _tuples(value) for key, value in payload.items()}
+
+
+def _tuples(value):
+    """JSON arrays as (nested) tuples, the form the frozen dataclasses hold."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def _build_gen_spec(args) -> GenSpec:
@@ -95,35 +101,17 @@ def _build_gen_spec(args) -> GenSpec:
 
 
 def _build_train_config(args) -> TrainConfig:
+    """The ``--config`` file's fields, overridden by every flag given (flag
+    ``dest`` names are ``TrainConfig`` field names)."""
     payload = _load_config_payload(args.config, TrainConfig) if args.config else {}
-    overrides = {
-        "method": args.method,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.lr,
-        "l2": args.l2,
-        "coral_weight": args.coral_weight,
-        "domain_weight": args.domain_weight,
-        "grl_scale": args.grl_scale,
-        "grl_ramp_epochs": args.grl_ramp_epochs,
-        "head_lr_multiplier": args.head_lr_multiplier,
-        "oversample_factor": args.oversample_factor,
-        "synthetic_count": args.synthetic_count,
-        "coral_layer": args.coral_layer,
-        "discriminator_labels": args.disc_labels,
-        "feature_jitter": args.feature_jitter,
-        "selection_tolerance_points": args.selection_tolerance,
-        "seed": getattr(args, "seed", None),
-    }
-    payload.update({k: v for k, v in overrides.items() if v is not None})
+    for field in dataclasses.fields(TrainConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            payload[field.name] = value
     try:
         return TrainConfig(**payload)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid train config: {exc}") from exc
-
-
-def _none_if_nan(x: float):
-    return None if isinstance(x, float) and math.isnan(x) else x
 
 
 def _history_csv(history: list[EpochRecord]) -> str:
@@ -159,7 +147,7 @@ def _selected_metrics_payload(config: TrainConfig, checkpoint: Checkpoint, histo
         "selected_epoch": checkpoint.epoch,
         "synthetic_count": config.synthetic_count,
         "seed": config.seed,
-        "table_row": {k: _none_if_nan(v) for k, v in row.items()},
+        "table_row": {k: none_if_nan(v) for k, v in row.items()},
         "splits": {split: m.to_dict() for split, m in split_metrics.items()},
     }
 
@@ -228,9 +216,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-_SWEEP_STATE: dict = {}
-
-
 def _single_thread_blas() -> None:
     """Cap the OpenBLAS that numpy loaded at one thread; do nothing if it is not found.
 
@@ -252,27 +237,20 @@ def _single_thread_blas() -> None:
                 return
 
 
-def _sweep_worker_init(data_path: str, jobs: int) -> None:
-    """Load the dataset once per worker. A load error is kept for the first
-    cell to raise, so a pool reports it as ``main()`` does instead of breaking."""
-    if jobs > 1:
-        _single_thread_blas()
-    _SWEEP_STATE.clear()
-    _SWEEP_STATE["data"] = data_path
-    try:
-        _SWEEP_STATE["dataset"] = load_csv(data_path)
-    except (ValueError, OSError) as exc:
-        _SWEEP_STATE["error"] = exc
+@functools.lru_cache(maxsize=1)
+def _sweep_dataset(data_path: str) -> Dataset:
+    """The sweep's dataset, parsed by a worker's first cell and kept for the rest."""
+    return load_csv(data_path)
 
 
-def _sweep_run_one(job: tuple[TrainConfig, Path]) -> dict | str:
-    """One sweep cell: its ``selected_metrics.json`` payload, or its error message."""
-    config, out = job
-    if "error" in _SWEEP_STATE:
-        raise _SWEEP_STATE["error"]
+def _sweep_run_one(job: tuple[TrainConfig, str, Path]) -> dict | str:
+    """One sweep cell: its ``selected_metrics.json`` payload, or its error
+    message. An unreadable dataset raises instead, which ends the sweep."""
+    config, data_path, out = job
+    dataset = _sweep_dataset(data_path)
     try:
-        checkpoint, history = train(_SWEEP_STATE["dataset"], config)
-        return _write_run_dir(out, _SWEEP_STATE["data"], config, checkpoint, history)
+        checkpoint, history = train(dataset, config)
+        return _write_run_dir(out, data_path, config, checkpoint, history)
     except Exception as exc:  # per-cell failure: record, keep sweeping
         return str(exc)
 
@@ -288,49 +266,54 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
+    """argparse type of a comma-separated list of at least one int >= 0."""
     try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise CliError(f"cannot parse {what} list {text!r}: {exc}") from exc
+        values = [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int list: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one value")
+    if min(values) < 0:
+        raise argparse.ArgumentTypeError(f"values must be >= 0, got {values}")
+    return values
+
+
+def _count_list(text: str) -> list[int]:
+    counts = _int_list(text)
+    if any(b <= a for a, b in zip(counts, counts[1:])):
+        raise argparse.ArgumentTypeError(f"counts must be strictly increasing, got {counts}")
+    return counts
+
+
+def _seed_list(text: str) -> list[int]:
+    seeds = _int_list(text)
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"seeds must be distinct, got {seeds}")
+    return seeds
 
 
 def cmd_sweep(args) -> int:
-    counts = _parse_int_list(args.counts, "counts")
-    seeds = _parse_int_list(args.seeds, "seeds")
-    if not counts or not seeds:
-        raise CliError("need at least one count and one seed")
-    if len(set(seeds)) != len(seeds):
-        raise CliError(f"seeds must be distinct, got {seeds}")
-    if min(counts) < 0 or min(seeds) < 0:
-        raise CliError(f"counts and seeds must be >= 0, got counts {counts}, seeds {seeds}")
-    if any(b <= a for a, b in zip(counts, counts[1:])):
-        raise CliError(f"counts must be strictly increasing, got {counts}")
     base = _build_train_config(args)
     out = Path(args.out)
     jobs = [
         (
             replace(base, synthetic_count=count, seed=seed),
+            args.data,
             out / "cells" / f"{args.method}_count{count}_seed{seed}",
         )
-        for count in counts
-        for seed in seeds
+        for count in args.counts
+        for seed in args.seeds
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_sweep_worker_init, initargs=(args.data, args.jobs)
-        ) as pool:
-            results = list(pool.map(_sweep_run_one, jobs))
-    else:
-        try:
-            _sweep_worker_init(args.data, args.jobs)
-            results = [_sweep_run_one(job) for job in jobs]
-        finally:  # do not keep the dataset alive after the sweep
-            _SWEEP_STATE.clear()
+    workers = min(args.jobs, len(jobs))
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_single_thread_blas if workers > 1 else None
+    ) as pool:
+        results = list(pool.map(_sweep_run_one, jobs))
 
     lines = [",".join(SWEEP_CSV_COLUMNS)]
     failures = {}
-    for (config, _), result in zip(jobs, results):
+    for (config, _, _), result in zip(jobs, results):
         if isinstance(result, str):
             failures[f"count{config.synthetic_count}_seed{config.seed}"] = result
             continue
@@ -422,7 +405,7 @@ def _add_train_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON train config (flags override file values)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float, dest="lr")
+    p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--l2", type=float)
     p.add_argument("--coral-weight", type=float)
     p.add_argument("--domain-weight", type=float)
@@ -432,9 +415,10 @@ def _add_train_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--oversample-factor", type=int)
     p.add_argument("--synthetic-count", type=int)
     p.add_argument("--coral-layer", choices=("logits", "features"))
-    p.add_argument("--disc-labels", choices=("membership", "provenance"))
+    p.add_argument("--disc-labels", choices=("membership", "provenance"),
+                   dest="discriminator_labels")
     p.add_argument("--feature-jitter", type=float)
-    p.add_argument("--selection-tolerance", type=float)
+    p.add_argument("--selection-tolerance", type=float, dest="selection_tolerance_points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,10 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid of runs over synthetic counts and seeds")
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--counts", required=True, help="comma-separated synthetic counts")
-    p.add_argument("--seeds", required=True, help="comma-separated seeds")
+    p.add_argument("--counts", required=True, type=_count_list,
+                   help="comma-separated synthetic counts, strictly increasing")
+    p.add_argument("--seeds", required=True, type=_seed_list, help="comma-separated distinct seeds")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel cells")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel cells")
     _add_train_overrides(p)
     p.set_defaults(func=cmd_sweep)
 

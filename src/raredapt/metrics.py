@@ -19,6 +19,11 @@ from .network import Network
 from .numerics import require_finite
 
 
+def none_if_nan(x: float) -> float | None:
+    """A metric for JSON: NaN (undefined accuracy) becomes null."""
+    return None if math.isnan(x) else float(x)
+
+
 @dataclass
 class RunMetrics:
     """Evaluation result on one split."""
@@ -31,9 +36,6 @@ class RunMetrics:
     confusion: np.ndarray
 
     def to_dict(self) -> dict:
-        def none_if_nan(x: float):
-            return None if math.isnan(x) else float(x)
-
         return {
             "per_class_acc": [none_if_nan(float(a)) for a in self.per_class_acc],
             "rare_class_id": int(self.rare_class_id),

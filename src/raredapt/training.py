@@ -102,14 +102,23 @@ class TrainConfig:
         ]
         if non_finite:
             raise ValueError(f"{', '.join(non_finite)} must be finite")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.coral_weight < 0 or self.grl_scale < 0:
-            raise ValueError("coral_weight and grl_scale must be >= 0")
+        rules = (
+            (">= 1", lambda v: v >= 1, ("epochs",)),
+            (">= 2", lambda v: v >= 2, ("batch_size",)),
+            ("> 0", lambda v: v > 0, ("learning_rate", "head_lr_multiplier", "adam_eps")),
+            (">= 0", lambda v: v >= 0, ("l2", "coral_weight", "domain_weight", "grl_scale",
+                                        "grl_ramp_epochs", "feature_jitter",
+                                        "selection_tolerance_points")),
+            ("in [0, 1)", lambda v: 0 <= v < 1, ("beta1", "beta2")),
+        )
+        out_of_range = [
+            f"{name} must be {rule}, got {getattr(self, name)!r}"
+            for rule, ok, names in rules
+            for name in names
+            if not ok(getattr(self, name))
+        ]
+        if out_of_range:
+            raise ValueError("; ".join(out_of_range))
         if self.coral_layer not in ("logits", "features"):
             raise ValueError(f"coral_layer must be 'logits' or 'features', got {self.coral_layer!r}")
         if self.discriminator_labels not in ("membership", "provenance"):

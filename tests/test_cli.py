@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import struct
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -29,19 +30,56 @@ def sweep_argv(data, out, seeds="0,1", jobs=1, counts="0,50"):
             "--epochs", "1", "--batch-size", "32"]
 
 
+def usage_error(argv, capsys) -> str:
+    """Run ``main(argv)``, expect argparse's exit 2, return its stderr."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_sweep_rejects_duplicate_seeds(tmp_path, capsys):
-    # also negative seeds and counts; each is rejected before the output exists
+    # also negative, unsorted, empty or non-int lists, written as --flag=value
+    # and as a separate argument; each is a usage error raised before the
+    # output exists
     data = write_tiny_csv(tmp_path)
     out = tmp_path / "sweep"
     for kwargs, message in (
         (dict(seeds="0,0"), "seeds must be distinct"),
         (dict(seeds="-1"), "must be >= 0"),
         (dict(counts="-5,0"), "must be >= 0"),
+        (dict(counts="50,0"), "counts must be strictly increasing"),
+        (dict(counts=","), "need at least one value"),
+        (dict(seeds="0,x"), "invalid int list"),
     ):
-        capsys.readouterr()
-        assert main(sweep_argv(data, out, **kwargs)) == 1
-        assert message in capsys.readouterr().err
+        (flag, value), = kwargs.items()
+        argv = sweep_argv(data, out, **kwargs)
+        assert message in usage_error(argv, capsys)
+        at = argv.index(f"--{flag}={value}")
+        usage_error(argv[:at] + [f"--{flag}", value] + argv[at + 1 :], capsys)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep"
+    err = usage_error(sweep_argv(tmp_path / "data.csv", out, jobs=jobs), capsys)
+    assert "argument --jobs: must be >= 1" in err
+    assert not out.exists()
+
+
+def test_sweep_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
+    asked = []
+
+    def recording_pool(max_workers, **kwargs):
+        asked.append(max_workers)
+        return ProcessPoolExecutor(max_workers=1, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    data = write_tiny_csv(tmp_path)
+    assert main(sweep_argv(data, tmp_path / "sweep", jobs=8, counts="0")) == 0
+    assert asked == [2]
 
 
 def test_sweep_cells_identical_with_one_and_two_jobs(tmp_path):
@@ -50,7 +88,7 @@ def test_sweep_cells_identical_with_one_and_two_jobs(tmp_path):
     for jobs, out in outs.items():
         assert main(sweep_argv(data, out, jobs=jobs)) == 0
         assert not (out / "failures.json").exists()
-        assert cli._SWEEP_STATE == {}  # the in-process sweep lets go of the dataset
+        assert cli._sweep_dataset.cache_info().currsize == 0  # parsed in the workers only
     cells = sorted(p.name for p in (outs[1] / "cells").iterdir())
     assert len(cells) == 4
     assert cells == sorted(p.name for p in (outs[2] / "cells").iterdir())
@@ -96,10 +134,52 @@ def test_sweep_unreadable_data_fails_alike_with_one_and_two_jobs(tmp_path, capsy
             assert main(sweep_argv(path, tmp_path / f"sweep{jobs}", jobs=jobs)) == 1
             errors.append(capsys.readouterr().err)
             assert not (tmp_path / f"sweep{jobs}").exists()
-            assert cli._SWEEP_STATE == {}
+            assert cli._sweep_dataset.cache_info().currsize == 0
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: ") and reason in errors[0]
         assert errors[0].count("\n") == 1
+
+
+def test_train_out_of_range_config_fails_before_training(tmp_path, capsys):
+    data = write_tiny_csv(tmp_path)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--method", "deerdann", "--out", str(run),
+                 "--epochs", "1", "--selection-tolerance", "-5", "--domain-weight", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid train config: ")
+    assert "domain_weight must be >= 0, got -1.0" in err
+    assert "selection_tolerance_points must be >= 0, got -5.0" in err
+    assert not run.exists()
+
+
+def test_train_flags_override_config_file_fields(tmp_path):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"learning_rate": 0.5, "discriminator_labels": "provenance",
+                                  "selection_tolerance_points": 3.0, "feature_dims": [6, 4]}),
+                      encoding="utf-8")
+    args = cli.build_parser().parse_args([
+        "train", "--data", "d.csv", "--method", "deerdann", "--out", "run",
+        "--config", str(config), "--lr", "0.01", "--selection-tolerance", "2",
+    ])
+    resolved = cli._build_train_config(args)
+    assert resolved.learning_rate == 0.01  # the flag wins over the file
+    assert resolved.selection_tolerance_points == 2.0
+    assert resolved.discriminator_labels == "provenance"  # the file wins over the default
+    assert resolved.feature_dims == (6, 4)
+    assert resolved.method == "deerdann" and resolved.epochs == 100
+
+
+def test_gen_data_scalar_gap_matrix_is_a_clean_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    payload = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in dataclasses.asdict(tiny_gen_spec()).items()}
+    spec.write_text(json.dumps({**payload, "gap_matrix": 5}), encoding="utf-8")
+    out = tmp_path / "data.csv"
+    capsys.readouterr()
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: gap_matrix must be 8x8, got ()\n"
+    assert not out.exists()
 
 
 def test_project_malformed_checkpoint_header_is_a_clean_error(tmp_path, capsys):

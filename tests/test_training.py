@@ -270,6 +270,33 @@ def test_config_validation():
     # a NaN weight would pass the sign checks and surface only as divergence
     with pytest.raises(ValueError, match="^coral_weight, grl_scale must be finite$"):
         TrainConfig(method="deercoral", coral_weight=math.nan, grl_scale=math.inf)
+    # every out-of-range field is named in one error, before any training
+    with pytest.raises(ValueError) as info:
+        TrainConfig(method="deerdann", l2=-0.5, coral_weight=-1.0, domain_weight=-1.0,
+                    grl_scale=-1.0, grl_ramp_epochs=-4, feature_jitter=-0.2,
+                    selection_tolerance_points=-5.0, head_lr_multiplier=0.0, adam_eps=-1e-8,
+                    beta1=1.0, beta2=-0.1)
+    assert str(info.value).split("; ") == [
+        "head_lr_multiplier must be > 0, got 0.0",
+        "adam_eps must be > 0, got -1e-08",
+        "l2 must be >= 0, got -0.5",
+        "coral_weight must be >= 0, got -1.0",
+        "domain_weight must be >= 0, got -1.0",
+        "grl_scale must be >= 0, got -1.0",
+        "grl_ramp_epochs must be >= 0, got -4",
+        "feature_jitter must be >= 0, got -0.2",
+        "selection_tolerance_points must be >= 0, got -5.0",
+        "beta1 must be in [0, 1), got 1.0",
+        "beta2 must be in [0, 1), got -0.1",
+    ]
+    with pytest.raises(ValueError, match="^epochs must be >= 1, got 0$"):
+        TrainConfig(method="baseline", epochs=0)
+    with pytest.raises(ValueError, match="^learning_rate must be > 0, got 0.0$"):
+        TrainConfig(method="baseline", learning_rate=0.0)
+    # the boundary values themselves are allowed
+    TrainConfig(method="deerdann", l2=0.0, coral_weight=0.0, domain_weight=0.0, grl_scale=0.0,
+                grl_ramp_epochs=0, feature_jitter=0.0, selection_tolerance_points=0.0,
+                beta1=0.0, beta2=0.0)
     cfg = TrainConfig(method="baseline")
     assert cfg.coral_weight == 0.5  # default trade-off
     assert cfg.config_hash() == TrainConfig(method="baseline").config_hash()
