@@ -21,9 +21,11 @@ metrics), and train.log.
 A sweep directory holds one train run directory per (count, seed) cell under
 cells/<method>_count<N>_seed<S>/, and the learning curve sweep_<method>.csv
 with one row per successful cell (columns SWEEP_CSV_COLUMNS; a NaN metric is
-written as an empty cell). A cell that fails gets no curve row; its error
-message goes to failures.json under the key count<N>_seed<S>, and the sweep
-still exits 0. A cell whose training fails writes no directory.
+written as an empty cell). --counts and --seeds set each cell's
+synthetic_count and seed over any --config value. A cell that fails gets no
+curve row; its error message goes to failures.json under the key
+count<N>_seed<S>, and the sweep still exits 0. A cell whose training fails
+writes no directory.
 
 The sweep runs its cells in a process pool of min(--jobs, cells) workers;
 each worker parses the dataset CSV in its first cell and keeps it for the
@@ -413,7 +415,6 @@ def _add_train_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grl-ramp-epochs", type=int)
     p.add_argument("--head-lr-multiplier", type=float)
     p.add_argument("--oversample-factor", type=int)
-    p.add_argument("--synthetic-count", type=int)
     p.add_argument("--coral-layer", choices=("logits", "features"))
     p.add_argument("--disc-labels", choices=("membership", "provenance"),
                    dest="discriminator_labels")
@@ -439,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--seed", type=int)
+    p.add_argument("--synthetic-count", type=int)
     _add_train_overrides(p)
     p.set_defaults(func=cmd_train)
 

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import make_rng, require_finite
+from .numerics import make_rng, require_field_types, require_finite
 
 SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
 DOMAIN_TOKENS = ("real", "synthetic")
@@ -82,23 +82,19 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ValueError(f"class_count must be >= 2, got {self.class_count}")
-        if self.feature_dim < 2:
-            raise ValueError(f"feature_dim must be >= 2, got {self.feature_dim}")
+        require_field_types(self)
+        for name, low in (("class_count", 2), ("feature_dim", 2), ("val_count_per_class", 1),
+                          ("test_count_per_class", 1), ("trans_locations_per_class", 1),
+                          ("gap_condition", 1), ("gap_noise_factor", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 <= self.rare_class_id < self.class_count:
             raise ValueError(f"rare_class_id {self.rare_class_id} out of range")
-        if self.trans_locations_per_class < 1:
-            raise ValueError("need at least one trans location per class")
         if self.locations_per_class - self.trans_locations_per_class < 1:
             raise ValueError(
                 f"{self.locations_per_class} locations with "
                 f"{self.trans_locations_per_class} held out leaves no train locations"
             )
-        if self.gap_condition < 1.0:
-            raise ValueError(f"gap_condition must be >= 1, got {self.gap_condition}")
-        if self.gap_noise_factor < 0:
-            raise ValueError("gap_noise_factor must be >= 0")
         counts = self.resolved_train_counts()
         if len(counts) != self.class_count:
             raise ValueError(

@@ -146,45 +146,36 @@ def paired_sampler(
 ) -> Iterator[BatchPair]:
     """One seeded epoch: a shuffled pass over S, each batch paired with T rows.
 
-    Target batches match the source batch size, cycling through reshuffled
-    passes over T as needed. Source batches with fewer than 2 rows are dropped
-    (covariance over a single row is undefined). Source and target shuffles
-    use independent streams, so the source sequence is identical across
-    methods for a given seed.
+    The target sequence is 1 + |S| // |T| shuffled passes over T (enough to
+    cover S), drawn up front; the source batch at offset ``start`` pairs with
+    the target rows at the same offset. A last source batch of 1 row is
+    dropped (covariance over a single row is undefined). Source and target
+    shuffles use independent streams, so the source sequence is identical
+    across methods for a given seed.
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
     if org.needs_target and org.target_indices.size == 0:
         raise ValueError(f"method {org.method!r} requires a non-empty target set")
-    dataset = org.dataset
     src_perm = make_rng(seed, _SRC_STREAM, epoch).permutation(org.source_indices)
-    tgt_rng = make_rng(seed, _TGT_STREAM, epoch)
-    tgt_perm = tgt_rng.permutation(org.target_indices) if org.needs_target else None
-    cursor = 0
+    target_seq = None
+    if org.needs_target:
+        tgt_rng = make_rng(seed, _TGT_STREAM, epoch)
+        passes = range(1 + src_perm.size // org.target_indices.size)
+        target_seq = np.concatenate([tgt_rng.permutation(org.target_indices) for _ in passes])
     for start in range(0, src_perm.size, batch_size):
         chunk = src_perm[start : start + batch_size]
         if chunk.size < 2:
             continue
-        source = _gather(dataset, chunk)
+        source = _gather(org.dataset, chunk)
         target = None
         routed_tgt = np.empty(0, dtype=np.int64)
-        if org.needs_target:
-            pieces = []
-            need = chunk.size
-            while need > 0:
-                if cursor >= tgt_perm.size:
-                    tgt_perm = tgt_rng.permutation(org.target_indices)
-                    cursor = 0
-                grab = min(need, tgt_perm.size - cursor)
-                pieces.append(tgt_perm[cursor : cursor + grab])
-                cursor += grab
-                need -= grab
-            target = _gather(dataset, np.concatenate(pieces))
+        if target_seq is not None:
+            target = _gather(org.dataset, target_seq[start : start + chunk.size])
             routed_tgt = route_delta(target.class_ids, org.method, org.rare_class_id)
-        routed_src = route_delta(source.class_ids, org.method, org.rare_class_id)
         yield BatchPair(
             source=source,
             target=target,
-            routed_source_rows=routed_src,
+            routed_source_rows=route_delta(source.class_ids, org.method, org.rare_class_id),
             routed_target_rows=routed_tgt,
         )

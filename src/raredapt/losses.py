@@ -34,7 +34,6 @@ class LossValue:
 
     value: float
     dlogits: np.ndarray
-    n_terms: int
 
 
 @dataclass
@@ -68,7 +67,7 @@ def cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> LossValue:
     dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0
     dlogits /= n
-    return LossValue(value=value, dlogits=dlogits, n_terms=n)
+    return LossValue(value=value, dlogits=dlogits)
 
 
 def domain_confusion(logits: np.ndarray, domain_labels: Sequence[int]) -> LossValue:

@@ -1,14 +1,15 @@
 """Dense float64 matrix helpers and seeded RNG streams.
 
 Every matrix in this package is a plain 2-D ``numpy.ndarray`` with dtype
-float64 in row-major order. :func:`as_matrix` and :func:`require_finite` are
-the validation helpers, and they run at the boundaries, not inside the
-training step: a ``Dataset`` checks its features when it is built,
-``TrainConfig`` its fields, ``train`` the labels once on entry, and
-``evaluate`` its logits. The step itself runs on arrays it made from those,
-so a NaN or Inf that arises inside it (overflow, a corrupted input row)
-surfaces through the step's two whole-value checks: the composite loss and
-the optimizer's gradient check (see :mod:`raredapt.training`).
+float64 in row-major order. :func:`as_matrix`, :func:`require_finite` and
+:func:`require_field_types` are the validation helpers, and they run at the
+boundaries, not inside the training step: a ``Dataset`` checks its features
+when it is built, ``GenSpec`` and ``TrainConfig`` their fields, ``train`` the
+labels once on entry, and ``evaluate`` its logits. The step itself runs on
+arrays it made from those, so a NaN or Inf that arises inside it (overflow, a
+corrupted input row) surfaces through the step's two whole-value checks: the
+composite loss and the optimizer's gradient check (see
+:mod:`raredapt.training`).
 :func:`softmax_rows` validates its input for outside callers; the
 cross-entropy loss uses the unchecked :func:`_softmax` core.
 
@@ -20,7 +21,13 @@ streams on every platform.
 
 from __future__ import annotations
 
+import functools
+import numbers
+import typing
+
 import numpy as np
+
+_type_hints = functools.cache(typing.get_type_hints)  # evaluating annotations is slow
 
 
 def make_rng(seed: int, *stream_key: int) -> np.random.Generator:
@@ -47,6 +54,33 @@ def as_matrix(arr, what: str = "matrix") -> np.ndarray:
     if out.ndim != 2:
         raise ValueError(f"{what} must be 2-D, got shape {out.shape}")
     return out
+
+
+def _fits(value, hint) -> bool:
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and args[1:] == (Ellipsis,):
+        return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
+    if type(None) in args:  # X | None
+        return value is None or _fits(value, args[0])
+    return True
+
+
+def require_field_types(obj) -> None:
+    """Raise one ValueError naming each field of dataclass ``obj`` whose value
+    does not fit its annotation: an integer for int, a real number for float
+    (JSON writes ``1`` for ``1.0``), never a bool; each element for
+    ``tuple[X, ...]``; also None for ``X | None``. Other annotations pass."""
+    cls = type(obj)
+    wrong = [
+        f"{name} must be {cls.__annotations__[name]}, got {getattr(obj, name)!r}"
+        for name, hint in _type_hints(cls).items()
+        if not _fits(getattr(obj, name), hint)
+    ]
+    if wrong:
+        raise ValueError("; ".join(wrong))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

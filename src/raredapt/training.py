@@ -35,7 +35,7 @@ from .domains import METHODS, BatchPair, build_domains, paired_sampler
 from .losses import DOMAIN_SOURCE, DOMAIN_TARGET, coral_loss, cross_entropy, domain_confusion
 from .metrics import RunMetrics, evaluate
 from .network import Network, default_network_spec, grl_backward
-from .numerics import make_rng
+from .numerics import make_rng, require_field_types
 
 _INIT_STREAM = 20
 _JITTER_STREAM = 21
@@ -95,6 +95,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         non_finite = [
@@ -209,61 +210,39 @@ def _discriminator_labels(pair: BatchPair, config: TrainConfig) -> np.ndarray:
     (synthetic -> source, real -> target) regardless of set.
     """
     rs, rt = pair.routed_source_rows, pair.routed_target_rows
-    if config.discriminator_labels == "membership":
-        src = np.full(rs.size, DOMAIN_SOURCE, dtype=np.int64)
-    else:
-        src = np.where(
+    labels = np.repeat([DOMAIN_SOURCE, DOMAIN_TARGET], [rs.size, rt.size])
+    if config.discriminator_labels == "provenance":
+        labels[: rs.size] = np.where(
             pair.source.domains[rs] == "synthetic", DOMAIN_SOURCE, DOMAIN_TARGET
-        ).astype(np.int64)
-    tgt = np.full(rt.size, DOMAIN_TARGET, dtype=np.int64)
-    return np.concatenate([src, tgt])
+        )
+    return labels
 
 
 class _Totals:
+    """One epoch's sums behind an EpochRecord's loss fields.
+
+    ``sums`` maps a loss field to [sum of value * weight, sum of weight] in
+    step order: a loss weighs its rows, the coral term 1 per step; a term
+    never added reports NaN. ``disc`` holds the discriminator's hits and rows
+    per domain label, and its accuracy is balanced over domains, so chance
+    stays 0.5 under routing imbalance.
+    """
+
     def __init__(self):
-        self.ce_sum = 0.0
-        self.ce_n = 0
-        self.dom_sum = 0.0
-        self.dom_n = 0
-        self.coral_sum = 0.0
-        self.coral_n = 0
-        self.comp_sum = 0.0
-        self.comp_n = 0
-        # per-domain correct/total; the reported discriminator accuracy is
-        # balanced over domains, so chance stays 0.5 under routing imbalance
-        self.disc_correct = np.zeros(2, dtype=np.int64)
-        self.disc_total = np.zeros(2, dtype=np.int64)
+        terms = ("classification_loss", "domain_loss", "coral_term", "composite_loss")
+        self.sums = {name: [0.0, 0] for name in terms}
+        self.disc = np.zeros((2, 2), dtype=np.int64)
 
-    def record(self, ce, n, composite, dom=None, dom_n=0, coral=None):
-        self.ce_sum += ce * n
-        self.ce_n += n
-        self.comp_sum += composite * n
-        self.comp_n += n
-        if dom is not None:
-            self.dom_sum += dom * dom_n
-            self.dom_n += dom_n
-        if coral is not None:
-            self.coral_sum += coral
-            self.coral_n += 1
-
-    def record_discriminator(self, preds: np.ndarray, labels: np.ndarray) -> None:
-        self.disc_correct += np.bincount(labels[preds == labels], minlength=2)
-        self.disc_total += np.bincount(labels, minlength=2)
+    def add(self, name: str, value: float, weight: int) -> None:
+        self.sums[name][0] += value * weight
+        self.sums[name][1] += weight
 
     def summary(self) -> dict[str, float]:
-        present = self.disc_total > 0
-        disc = (
-            float(np.mean(self.disc_correct[present] / self.disc_total[present]))
-            if present.any()
-            else math.nan
-        )
-        return {
-            "classification_loss": self.ce_sum / self.ce_n if self.ce_n else math.nan,
-            "domain_loss": self.dom_sum / self.dom_n if self.dom_n else math.nan,
-            "coral_term": self.coral_sum / self.coral_n if self.coral_n else math.nan,
-            "composite_loss": self.comp_sum / self.comp_n if self.comp_n else math.nan,
-            "discriminator_acc": disc,
-        }
+        hits, rows = self.disc
+        acc = hits[rows > 0] / rows[rows > 0]
+        out = {name: total / n if n else math.nan for name, (total, n) in self.sums.items()}
+        out["discriminator_acc"] = float(np.mean(acc)) if acc.size else math.nan
+        return out
 
 
 def _train_batch(
@@ -280,6 +259,7 @@ def _train_batch(
     also forwards the target batch and adds its alignment term: the domain
     confusion of the routed rows behind the reversal layer (deerdann,
     alldann), or the covariance alignment of logits or features (deercoral).
+    Each loss goes into ``totals`` as it is computed (see :class:`_Totals`).
     Raises TrainingDiverged on a non-finite loss, before any backward pass.
     The backward pass runs the source side, then the target side; each side
     runs its heads, then the extractor.
@@ -310,7 +290,9 @@ def _train_batch(
         stacked = np.vstack(blocks)
         labels = _discriminator_labels(pair, config)
         confusion = domain_confusion(stacked, labels)
-        totals.record_discriminator(np.argmax(stacked, axis=1), labels)
+        hits = labels[np.argmax(stacked, axis=1) == labels]
+        totals.disc += (np.bincount(hits, minlength=2), np.bincount(labels, minlength=2))
+        totals.add("domain_loss", confusion.value, confusion.dlogits.shape[0])
         composite += config.domain_weight * confusion.value
     elif config.method == "deercoral":
         if config.coral_layer == "logits":
@@ -318,6 +300,7 @@ def _train_batch(
             coral = coral_loss(logits_src, logits_tgt)
         else:
             coral = coral_loss(f_src, f_tgt)
+        totals.add("coral_term", coral.value, 1)
         composite += config.coral_weight * coral.value
 
     if not math.isfinite(composite):
@@ -327,6 +310,8 @@ def _train_batch(
         if coral is not None:
             terms += f", coral {coral.value!r}"
         raise TrainingDiverged(f"non-finite loss ({terms}, composite {composite!r})")
+    totals.add("classification_loss", classification.value, xs.shape[0])
+    totals.add("composite_loss", composite, xs.shape[0])
     weight = config.coral_weight
     coral_on_logits = coral is not None and config.coral_layer == "logits"
     if confusion is not None:
@@ -354,14 +339,6 @@ def _train_batch(
             dfeat = net.backward("classifier", tr_c_tgt, dfeat)
     if dfeat is not None:
         net.backward("extractor", tr_f_tgt, dfeat)
-    totals.record(
-        classification.value,
-        xs.shape[0],
-        composite,
-        dom=None if confusion is None else confusion.value,
-        dom_n=0 if confusion is None else confusion.n_terms,
-        coral=None if coral is None else coral.value,
-    )
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[EpochRecord]]:

@@ -153,6 +153,34 @@ def test_train_out_of_range_config_fails_before_training(tmp_path, capsys):
     assert not run.exists()
 
 
+def test_train_config_value_of_wrong_type_is_a_clean_error(tmp_path, capsys):
+    data = write_tiny_csv(tmp_path)
+    config = tmp_path / "train.json"
+    run = tmp_path / "run"
+    for payload, message in (
+        ({"epochs": 1.5}, "epochs must be int, got 1.5"),
+        ({"epochs": True}, "epochs must be int, got True"),
+        ({"batch_size": 32.0, "grl_ramp_epochs": 2.5},
+         "batch_size must be int, got 32.0; grl_ramp_epochs must be int, got 2.5"),
+        ({"feature_dims": [16.5, 8]}, "feature_dims must be tuple[int, ...], got (16.5, 8)"),
+    ):
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--method", "deerdann", "--out", str(run),
+                     "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: invalid train config: {message}\n"
+        assert not run.exists()
+
+
+def test_sweep_has_no_synthetic_count_flag(tmp_path, capsys):
+    # --counts sets every cell's synthetic count, so the flag would do nothing
+    out = tmp_path / "sweep"
+    err = usage_error(sweep_argv(tmp_path / "data.csv", out) + ["--synthetic-count", "300"],
+                      capsys)
+    assert "unrecognized arguments: --synthetic-count 300" in err
+    assert not out.exists()
+
+
 def test_train_flags_override_config_file_fields(tmp_path):
     config = tmp_path / "train.json"
     config.write_text(json.dumps({"learning_rate": 0.5, "discriminator_labels": "provenance",
@@ -179,6 +207,21 @@ def test_gen_data_scalar_gap_matrix_is_a_clean_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: gap_matrix must be 8x8, got ()\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("synthetic_pool_size", 10.0, "synthetic_pool_size must be int, got 10.0"),
+    ("val_count_per_class", 0, "val_count_per_class must be >= 1, got 0"),
+    ("test_count_per_class", -3, "test_count_per_class must be >= 1, got -3"),
+])
+def test_gen_data_bad_spec_value_is_a_clean_error(tmp_path, capsys, field, value, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({field: value}), encoding="utf-8")
+    out = tmp_path / "data.csv"
+    capsys.readouterr()
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: invalid generator spec: {message}\n"
     assert not out.exists()
 
 

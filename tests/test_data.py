@@ -34,6 +34,27 @@ def test_generated_counts_match_spec_exactly():
     assert len(ds.synthetic_pool_indices()) == spec.synthetic_pool_size
 
 
+def test_spec_rejects_untrainable_split_sizes_and_wrong_types():
+    # every split needs real samples of each class, or evaluation fails after
+    # a whole epoch of training
+    for name, value, low in (("val_count_per_class", 0, 1), ("test_count_per_class", 0, 1),
+                             ("val_count_per_class", -3, 1), ("test_count_per_class", -3, 1),
+                             ("trans_locations_per_class", 0, 1), ("gap_noise_factor", -0.5, 0)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {value}$"):
+            tiny_gen_spec(**{name: value})
+    tiny_gen_spec(val_count_per_class=1, test_count_per_class=1)
+    with pytest.raises(ValueError) as info:
+        tiny_gen_spec(synthetic_pool_size=10.0, train_counts=(120, 90, 60.5, 41),
+                      class_mean_scale="1", seed=True)
+    assert str(info.value).split("; ") == [
+        "train_counts must be tuple[int, ...] | None, got (120, 90, 60.5, 41)",
+        "class_mean_scale must be float, got '1'",
+        "synthetic_pool_size must be int, got 10.0",
+        "seed must be int, got True",
+    ]
+    assert tiny_gen_spec(class_mean_scale=2, train_counts=None).class_mean_scale == 2
+
+
 def test_histogram_sums_and_empty_selection():
     ds = generate(tiny_gen_spec())
     hist = class_histogram(ds, "train")

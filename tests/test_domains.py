@@ -121,6 +121,21 @@ def test_target_batches_match_source_size(tiny_dataset):
         assert pair.routed_source_rows.size == pair.source.indices.size  # alldann: all rows
 
 
+def test_target_wraps_around_in_whole_reshuffled_passes(tiny_dataset):
+    # |T| = 41 against |S| = 391: each block of |T| emitted target indices is
+    # one shuffled pass over T, and blocks straddle batch boundaries
+    org = build_domains(tiny_dataset, "deerdann", synthetic_count=80, oversample_factor=1)
+    t = org.target_indices.size
+    emitted = np.concatenate(
+        [p.target.indices for p in paired_sampler(org, batch_size=32, seed=0, epoch=0)]
+    )
+    assert emitted.size > 2 * t and emitted.size % 32 != 0 and t % 32 != 0
+    passes = [emitted[i : i + t] for i in range(0, emitted.size - t + 1, t)]
+    for block in passes:
+        assert np.array_equal(np.sort(block), np.sort(org.target_indices))
+    assert not np.array_equal(passes[0], passes[1])  # each pass is reshuffled
+
+
 def test_short_final_batch_dropped(tiny_dataset):
     org = build_domains(tiny_dataset, "baseline", synthetic_count=0)
     n = org.source_indices.size

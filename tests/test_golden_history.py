@@ -7,7 +7,8 @@ values were recorded from the per-array implementation of ``Network`` and
 ``Adam`` that the flat parameter buffer replaced; any change to the order of
 floating-point operations in the training step shows here as a new digest.
 The cases cover every branch of the step: each method, feature jitter, the
-feature-level CORAL variant, provenance discriminator labels and the GRL ramp.
+feature-level CORAL variant, provenance discriminator labels, the GRL ramp
+and a target set smaller than the source set, so target batches wrap around T.
 """
 
 import hashlib
@@ -35,6 +36,9 @@ CASES = {
     "deercoral_features": dict(method="deercoral", coral_layer="features"),
     "deerdann_provenance": dict(method="deerdann", discriminator_labels="provenance"),
     "alldann_grl_ramp": dict(method="alldann", grl_ramp_epochs=2, grl_scale=0.5),
+    # |T| below |S|: the sampler wraps around T within each epoch
+    "deerdann_oversample1": dict(method="deerdann", oversample_factor=1),
+    "deercoral_oversample1": dict(method="deercoral", oversample_factor=1),
 }
 
 GOLDEN = {
@@ -47,9 +51,11 @@ GOLDEN = {
     "deercoral": "c253cac19773e118428bf95f6b80d82661d9b5075df34155cee4f85be1182f85",
     "deercoral_features": "9112a317046e9df21c4a63bb39dcb40dd119f556c9707c4725504c75f52f77a7",
     "deercoral_jitter": "7a9dc004584cd4be2cc088f413887dc663e5f754c7fa1aa3d5e154cf42b88198",
+    "deercoral_oversample1": "d961f852a6ff50b010edee3702af5e34d196ea5e2008d45ae19b65d21bf6acab",
     "deercoral_seed1": "3b881936b3b890f43722771ea4871590f41b6bcace7387c6da86b0fc9e76e4ce",
     "deerdann": "283b0037e20e1a836bbf1845fd94321c015f1d3ccc7b41e1a726c1053189601b",
     "deerdann_jitter": "17ee28ad962c12161075cafb73c55f52ac438db81b938ca87f5fb7535cf11f94",
+    "deerdann_oversample1": "eb523404b8db3db40b937769ca24f739ccd6c22392b758b55f93b3849248e706",
     "deerdann_provenance": "c790c7c832d404190fbb235fecf577d6a0b6ca4f2ea91920fb9262b80c8c60d0",
     "deerdann_seed1": "05fd17ff8ee321eb526bbfd38cdcbd6301c3a6714dac025411a08726144e77f2",
 }

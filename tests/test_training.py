@@ -297,6 +297,32 @@ def test_config_validation():
     TrainConfig(method="deerdann", l2=0.0, coral_weight=0.0, domain_weight=0.0, grl_scale=0.0,
                 grl_ramp_epochs=0, feature_jitter=0.0, selection_tolerance_points=0.0,
                 beta1=0.0, beta2=0.0)
+    # a value of the wrong type is named before any range check; a bool is not
+    # an int, and an int is a float (JSON writes 1 for 1.0)
+    with pytest.raises(ValueError) as info:
+        TrainConfig(method="deerdann", epochs=1.5, batch_size=32.0, oversample_factor=True,
+                    seed=1.5, synthetic_count=10.0, grl_ramp_epochs=2.5,
+                    feature_dims=(16.5, 8), rare_class_id="3", learning_rate="0.1")
+    assert str(info.value).split("; ") == [
+        "epochs must be int, got 1.5",
+        "batch_size must be int, got 32.0",
+        "learning_rate must be float, got '0.1'",
+        "grl_ramp_epochs must be int, got 2.5",
+        "oversample_factor must be int, got True",
+        "synthetic_count must be int, got 10.0",
+        "feature_dims must be tuple[int, ...], got (16.5, 8)",
+        "rare_class_id must be int | None, got '3'",
+        "seed must be int, got 1.5",
+    ]
+    with pytest.raises(ValueError, match="^epochs must be int, got True$"):
+        TrainConfig(method="baseline", epochs=True)
+    with pytest.raises(ValueError, match="^l2 must be float, got False$"):
+        TrainConfig(method="baseline", l2=False)
+    with pytest.raises(ValueError, match=r"^discriminator_hidden must be tuple\[int, \.\.\.\]"):
+        TrainConfig(method="baseline", discriminator_hidden=32)
+    typed = TrainConfig(method="baseline", learning_rate=1, rare_class_id=None,
+                        classifier_hidden=(), seed=np.int64(2))
+    assert typed.learning_rate == 1 and typed.rare_class_id is None
     cfg = TrainConfig(method="baseline")
     assert cfg.coral_weight == 0.5  # default trade-off
     assert cfg.config_hash() == TrainConfig(method="baseline").config_hash()
