@@ -20,7 +20,7 @@ forward pass does not scan values, see :mod:`raredapt.network`); truncated,
 corrupt or mismatched files raise without returning partial state.
 Version-1 files, which stored one record per named array, are rejected as
 an unsupported version. Saving rejects a parameter vector whose length
-disagrees with the spec before it writes anything.
+disagrees with the spec before writing; each file is replaced atomically.
 
 The header holds no metrics snapshot; a run directory's
 ``selected_metrics.json`` records the selected epoch's metrics. Loading reads
@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open, write_json
 from .network import MlpSpec, Network, NetworkSpec
 
 MAGIC = b"RDCKPT02"
@@ -92,14 +93,9 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
         "param_count": params.size,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(params.tobytes())
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + params.tobytes())
+    write_json(f"{path}.meta.json", header)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -11,7 +11,9 @@ Subcommands wire the library end to end:
 Config files are JSON mirrors of the GenSpec / TrainConfig dataclasses;
 explicit command-line flags override config-file values. Every subcommand is
 deterministic given its inputs and seeds, and exits 0 only when the requested
-artifact files were fully written.
+artifact files were fully written. Every artifact file atomically replaces its
+target (see :mod:`raredapt.artifacts`), so even a killed process leaves no
+artifact half-written.
 
 A train run directory contains: config.json (resolved config + dataset
 reference), checkpoint.ckpt (+ .meta.json sidecar), history.csv (per-epoch
@@ -50,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json, write_text
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     SPLITS, DataFormatError, Dataset, GenSpec, class_histogram, generate, load_csv, save_csv
@@ -156,26 +159,12 @@ def _selected_metrics_payload(config: TrainConfig, checkpoint: Checkpoint, histo
 
 def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, history) -> dict:
     """Write one run directory; return its ``selected_metrics.json`` payload."""
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(
-            {
-                "data": str(data_path),
-                "config_hash": config.config_hash(),
-                "config": asdict(config),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "config.json", {"data": str(data_path), "config": asdict(config),
+                                     "config_hash": config.config_hash()})
     save_checkpoint(checkpoint, out / "checkpoint.ckpt")
-    (out / "history.csv").write_text(_history_csv(history), encoding="utf-8")
+    write_text(out / "history.csv", _history_csv(history))
     selected = _selected_metrics_payload(config, checkpoint, history)
-    (out / "selected_metrics.json").write_text(
-        json.dumps(selected, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "selected_metrics.json", selected)
     log_lines = []
     for rec in history:
         tv = rec.split_metrics["trans_val"]
@@ -185,7 +174,7 @@ def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, histor
             f"trans_val_rare={tv.rare_acc:.4f} trans_val_other={tv.other_macro:.4f}"
         )
     log_lines.append(f"selected epoch {checkpoint.epoch}")
-    (out / "train.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    write_text(out / "train.log", "\n".join(log_lines) + "\n")
     return selected
 
 
@@ -193,7 +182,6 @@ def cmd_gen_data(args) -> int:
     spec = _build_gen_spec(args)
     dataset = generate(spec)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, out)
     hist = class_histogram(dataset, "train")
     print(f"wrote {len(dataset)} samples to {out}")
@@ -323,13 +311,10 @@ def cmd_sweep(args) -> int:
         cells = [str(config.synthetic_count), str(config.seed)]
         cells += ["" if row[k] is None else repr(float(row[k])) for k in SWEEP_CSV_COLUMNS[2:]]
         lines.append(",".join(cells))
-    out.mkdir(parents=True, exist_ok=True)
     curve_path = out / f"sweep_{args.method}.csv"
-    curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(curve_path, "\n".join(lines) + "\n")
     if failures:
-        (out / "failures.json").write_text(
-            json.dumps(failures, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(out / "failures.json", failures)
         print(f"{len(failures)} cell(s) failed; see {out / 'failures.json'}", file=sys.stderr)
     print(f"sweep curve written to {curve_path} ({len(lines) - 1} rows)")
     return 0
@@ -349,9 +334,8 @@ def cmd_compare(args) -> int:
         entries.append((Path(run).name, row))
     text, csv_text = comparison_table(entries)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "comparison.txt").write_text(text, encoding="utf-8")
-    (out / "comparison.csv").write_text(csv_text, encoding="utf-8")
+    write_text(out / "comparison.txt", text)
+    write_text(out / "comparison.csv", csv_text)
     print(text, end="")
     return 0
 
@@ -377,26 +361,14 @@ def cmd_project(args) -> int:
         raise CliError(f"no samples selected for split {args.split!r}")
     proj = project_features(net, dataset, indices, n_components=args.components)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path, svg_path = export_scatter(proj, out / f"scatter_{args.split}")
     score = None
     try:
         score = bimodality_score(proj, dataset.rare_class_id)
     except ValueError as exc:
         print(f"bimodality score unavailable: {exc}")
-    (out / "projection.json").write_text(
-        json.dumps(
-            {
-                "split": args.split,
-                "explained_variances": [float(v) for v in proj.explained_variances],
-                "bimodality_score": score,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "projection.json", {"split": args.split, "bimodality_score": score,
+                                         "explained_variances": proj.explained_variances.tolist()})
     print(f"scatter written to {csv_path} and {svg_path}")
     if score is not None:
         print(f"bimodality score: {score:.4f}")

@@ -30,13 +30,12 @@ domain. ``class_histogram`` therefore defaults to counting real samples.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .numerics import make_rng, require_field_types, require_finite
 
 SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
@@ -83,8 +82,11 @@ class GenSpec:
 
     def __post_init__(self):
         require_field_types(self)
-        for name, low in (("class_count", 2), ("feature_dim", 2), ("val_count_per_class", 1),
+        for name, low in (("class_count", 2), ("feature_dim", 2), ("max_train_count", 1),
+                          ("rare_train_count", 1), ("val_count_per_class", 1),
                           ("test_count_per_class", 1), ("trans_locations_per_class", 1),
+                          ("synthetic_pool_size", 0), ("noise_scale", 0),
+                          ("class_mean_scale", 0), ("location_jitter", 0),
                           ("gap_condition", 1), ("gap_noise_factor", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -116,10 +118,6 @@ class GenSpec:
         counts = [int(round(self.max_train_count * ratio**c)) for c in range(k)]
         counts[self.rare_class_id] = self.rare_train_count
         return tuple(counts)
-
-    def spec_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     @classmethod
     def zero_gap(cls, **overrides) -> "GenSpec":
@@ -155,7 +153,6 @@ class Dataset:
     location_ids: np.ndarray
     splits: np.ndarray
     class_names: list[str]
-    provenance: str = ""
     rare_class_id: int = field(init=False)
 
     def __post_init__(self):
@@ -370,7 +367,6 @@ def generate(spec: GenSpec) -> Dataset:
         location_ids=np.concatenate(locations),
         splits=np.concatenate(splits),
         class_names=[f"class{i}" for i in range(k)],
-        provenance=f"generated:seed={spec.seed}:spec={spec.spec_hash()[:12]}",
     )
 
 
@@ -388,7 +384,7 @@ def expected_header(feature_dim: int) -> list[str]:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write the documented CSV schema; floats use shortest round-trip repr."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(expected_header(dataset.feature_dim)) + "\n")
         for i in range(len(dataset)):
             row = [repr(float(v)) for v in dataset.features[i]]
@@ -454,14 +450,13 @@ def load_csv(path) -> Dataset:
             location_ids=locations,
             splits=np.array(splits),
             class_names=[f"class{i}" for i in range(k)],
-            provenance=str(path),
         )
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Field-for-field sample equality (provenance excluded)."""
+    """Field-for-field sample equality."""
     return (
         np.array_equal(a.features, b.features)
         and np.array_equal(a.class_ids, b.class_ids)

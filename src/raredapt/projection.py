@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_open, write_text
 from .data import Dataset
 from .network import Network
 from .numerics import make_rng
@@ -112,27 +113,17 @@ def export_scatter(proj: ProjectedFeatures, prefix) -> tuple[str, str]:
     """
     csv_path = f"{prefix}.csv"
     svg_path = f"{prefix}.svg"
-    n = proj.coords.shape[0]
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    xs = proj.coords[:, 0]
+    ys = proj.coords[:, 1] if proj.coords.shape[1] > 1 else np.zeros_like(xs)
+    columns = (xs, ys, proj.class_ids, proj.domains, proj.splits, proj.correct)
+    with atomic_open(csv_path) as fh:
         fh.write("x,y,class_id,domain,split,correct\n")
-        for i in range(n):
-            x = repr(float(proj.coords[i, 0]))
-            y = repr(float(proj.coords[i, 1])) if proj.coords.shape[1] > 1 else "0.0"
-            fh.write(
-                f"{x},{y},{int(proj.class_ids[i])},{proj.domains[i]},"
-                f"{proj.splits[i]},{int(proj.correct[i])}\n"
-            )
+        for x, y, class_id, domain, split, correct in zip(*columns):
+            fh.write(f"{float(x)!r},{float(y)!r},{int(class_id)},{domain},{split},{int(correct)}\n")
 
     size, margin = 640, 48
-    if n:
-        xs, ys = proj.coords[:, 0], proj.coords[:, 1] if proj.coords.shape[1] > 1 else (
-            np.zeros(n)
-        )
-        x_lo, x_hi = float(xs.min()), float(xs.max())
-        y_lo, y_hi = float(ys.min()), float(ys.max())
-    else:
-        xs = ys = np.zeros(0)
-        x_lo, x_hi, y_lo, y_hi = -1.0, 1.0, -1.0, 1.0
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     inner = size - 2 * margin
@@ -143,20 +134,19 @@ def export_scatter(proj: ProjectedFeatures, prefix) -> tuple[str, str]:
         f'<rect x="{margin}" y="{margin}" width="{inner}" height="{inner}" '
         'fill="none" stroke="#999999"/>',
     ]
-    for i in range(n):
-        px = margin + inner * (float(xs[i]) - x_lo) / x_span
-        py = margin + inner * (1.0 - (float(ys[i]) - y_lo) / y_span)
-        color = _PALETTE[int(proj.class_ids[i]) % len(_PALETTE)]
-        r = 4.0 if proj.correct[i] else 2.0
-        stroke = ' stroke="black" stroke-width="1"' if proj.domains[i] == "synthetic" else ""
-        opacity = 0.9 if str(proj.splits[i]).startswith("trans") else 0.45
+    for x, y, class_id, domain, split, correct in zip(*columns):
+        px = margin + inner * (float(x) - x_lo) / x_span
+        py = margin + inner * (1.0 - (float(y) - y_lo) / y_span)
+        color = _PALETTE[int(class_id) % len(_PALETTE)]
+        r = 4.0 if correct else 2.0
+        stroke = ' stroke="black" stroke-width="1"' if domain == "synthetic" else ""
+        opacity = 0.9 if str(split).startswith("trans") else 0.45
         parts.append(
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r}" fill="{color}" '
             f'fill-opacity="{opacity}"{stroke}/>'
         )
     parts.append("</svg>")
-    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(svg_path, "\n".join(parts) + "\n")
     return csv_path, svg_path
 
 

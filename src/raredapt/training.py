@@ -104,11 +104,11 @@ class TrainConfig:
         if non_finite:
             raise ValueError(f"{', '.join(non_finite)} must be finite")
         rules = (
-            (">= 1", lambda v: v >= 1, ("epochs",)),
+            (">= 1", lambda v: v >= 1, ("epochs", "oversample_factor")),
             (">= 2", lambda v: v >= 2, ("batch_size",)),
             ("> 0", lambda v: v > 0, ("learning_rate", "head_lr_multiplier", "adam_eps")),
             (">= 0", lambda v: v >= 0, ("l2", "coral_weight", "domain_weight", "grl_scale",
-                                        "grl_ramp_epochs", "feature_jitter",
+                                        "grl_ramp_epochs", "synthetic_count", "feature_jitter",
                                         "selection_tolerance_points")),
             ("in [0, 1)", lambda v: 0 <= v < 1, ("beta1", "beta2")),
         )

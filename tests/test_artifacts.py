@@ -1,0 +1,121 @@
+import ast
+import math
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import raredapt
+from raredapt.artifacts import atomic_open, write_json, write_text
+
+PACKAGE = Path(raredapt.__file__).parent
+
+
+def test_an_exception_inside_leaves_the_old_file_and_no_temp_file(tmp_path):
+    target = tmp_path / "selected_metrics.json"
+    write_text(target, "old\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_open(target) as fh:
+            fh.write("new, half")
+            fh.flush()
+            raise RuntimeError("mid-write")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["selected_metrics.json"]
+
+
+def test_a_killed_writer_leaves_the_old_file(tmp_path):
+    target = tmp_path / "history.csv"
+    write_text(target, "old\n")
+    script = (
+        "import os, signal, sys\n"
+        "from raredapt.artifacts import atomic_open\n"
+        "with atomic_open(sys.argv[1]) as fh:\n"
+        "    fh.write('new, half')\n"
+        "    fh.flush()\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", script, str(target)], env=env, timeout=60)
+    assert done.returncode == -9
+    assert target.read_text(encoding="utf-8") == "old\n"
+
+
+def test_parent_directories_are_created_and_bytes_written_as_given(tmp_path):
+    text_path = tmp_path / "a" / "b" / "train.log"
+    write_text(text_path, "one\ntwo\n")
+    assert text_path.read_bytes() == b"one\ntwo\n"
+    binary_path = tmp_path / "c" / "checkpoint.ckpt"
+    with atomic_open(binary_path, "wb") as fh:
+        fh.write(b"\x00\r\n\xff")
+    assert binary_path.read_bytes() == b"\x00\r\n\xff"
+    with pytest.raises(ValueError, match="mode must be 'w' or 'wb', got 'a'"):
+        with atomic_open(tmp_path / "log.txt", "a"):
+            pass
+    assert not (tmp_path / "log.txt").exists()
+
+
+def test_file_mode_is_what_a_plain_open_gives(tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+            pass
+        write_text(tmp_path / "atomic.txt", "x\n")
+    finally:
+        os.umask(old_umask)
+    plain = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+    assert stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode) == plain == 0o644
+
+
+def test_write_json_layout_and_nan_leaves_the_target_untouched(tmp_path):
+    target = tmp_path / "projection.json"
+    write_json(target, {"b": [1.5, None], "a": 1})
+    expected = b'{\n  "a": 1,\n  "b": [\n    1.5,\n    null\n  ]\n}\n'
+    assert target.read_bytes() == expected
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(target, {"a": math.nan})
+    assert target.read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["projection.json"]
+
+
+def _writes_outside_the_writer(tree: ast.AST) -> list[str]:
+    """Calls that write a file or make a directory without ``artifacts``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes", "mkdir") and isinstance(func, ast.Attribute):
+            found.append(f"line {node.lineno}: .{name}(")
+        elif name == "dump" and getattr(func.value, "id", None) == "json":
+            found.append(f"line {node.lineno}: json.dump(")
+        elif name == "open":
+            at = 1 if isinstance(func, ast.Name) else 0  # open(path, mode), path.open(mode)
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None:
+                mode = node.args[at] if len(node.args) > at else ast.Constant("r")
+            known = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+            if not known or set(mode.value) & set("wax+"):
+                found.append(f"line {node.lineno}: open(..., {ast.unparse(mode)})")
+    return found
+
+
+def test_every_file_write_goes_through_the_writer():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "artifacts.py" in sources
+    found = {
+        path.name: _writes_outside_the_writer(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sources
+        if path.name != "artifacts.py"
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {}
+    # the scan itself finds each kind of write
+    sample = ast.parse(
+        "open(p, 'w')\nopen(p, mode='wb')\nopen(p, m)\np.open('a')\np.write_text(t)\n"
+        "p.write_bytes(b)\np.mkdir()\njson.dump(x, fh)\nopen(p)\nopen(p, 'rb')\np.open()\n"
+        "write_text(p, t)\n"
+    )
+    assert len(_writes_outside_the_writer(sample)) == 8

@@ -116,6 +116,7 @@ def test_sweep_records_failed_cells_and_keeps_going(tmp_path, jobs):
         "deerdann_count0_seed0",
         "deerdann_count0_seed1",
     ]
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_sweep_unreadable_data_fails_alike_with_one_and_two_jobs(tmp_path, capsys):
@@ -172,6 +173,18 @@ def test_train_config_value_of_wrong_type_is_a_clean_error(tmp_path, capsys):
         assert not run.exists()
 
 
+def test_sweep_out_of_range_config_fails_before_any_cell_runs(tmp_path, capsys):
+    # build_domains would reject it too, but only inside each cell, as a failed cell
+    data = write_tiny_csv(tmp_path)
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main(sweep_argv(data, out) + ["--oversample-factor", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid train config: oversample_factor must be >= 1, got 0\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_has_no_synthetic_count_flag(tmp_path, capsys):
     # --counts sets every cell's synthetic count, so the flag would do nothing
     out = tmp_path / "sweep"
@@ -214,6 +227,13 @@ def test_gen_data_scalar_gap_matrix_is_a_clean_error(tmp_path, capsys):
     ("synthetic_pool_size", 10.0, "synthetic_pool_size must be int, got 10.0"),
     ("val_count_per_class", 0, "val_count_per_class must be >= 1, got 0"),
     ("test_count_per_class", -3, "test_count_per_class must be >= 1, got -3"),
+    ("max_train_count", 0, "max_train_count must be >= 1, got 0"),
+    ("max_train_count", -5, "max_train_count must be >= 1, got -5"),
+    ("rare_train_count", 0, "rare_train_count must be >= 1, got 0"),
+    ("synthetic_pool_size", -5, "synthetic_pool_size must be >= 0, got -5"),
+    ("noise_scale", -1, "noise_scale must be >= 0, got -1"),
+    ("class_mean_scale", -1.0, "class_mean_scale must be >= 0, got -1.0"),
+    ("location_jitter", -0.5, "location_jitter must be >= 0, got -0.5"),
 ])
 def test_gen_data_bad_spec_value_is_a_clean_error(tmp_path, capsys, field, value, message):
     spec = tmp_path / "spec.json"
@@ -317,6 +337,7 @@ def test_gen_data_train_compare_project_end_to_end(tmp_path):
     assert isinstance(projection["bimodality_score"], float)
     assert (proj / "scatter_trans_test.csv").is_file()
     assert (proj / "scatter_trans_test.svg").is_file()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_project_truncated_checkpoint_is_a_clean_error(tmp_path, capsys):

@@ -293,6 +293,13 @@ def test_config_validation():
         TrainConfig(method="baseline", epochs=0)
     with pytest.raises(ValueError, match="^learning_rate must be > 0, got 0.0$"):
         TrainConfig(method="baseline", learning_rate=0.0)
+    # the sampler's checks hold for the config too, so a sweep fails before any cell runs
+    with pytest.raises(ValueError) as info:
+        TrainConfig(method="deerdann", oversample_factor=0, synthetic_count=-1)
+    assert str(info.value) == (
+        "oversample_factor must be >= 1, got 0; synthetic_count must be >= 0, got -1"
+    )
+    TrainConfig(method="deerdann", oversample_factor=1, synthetic_count=0)
     # the boundary values themselves are allowed
     TrainConfig(method="deerdann", l2=0.0, coral_weight=0.0, domain_weight=0.0, grl_scale=0.0,
                 grl_ramp_epochs=0, feature_jitter=0.0, selection_tolerance_points=0.0,
