@@ -3,6 +3,11 @@
 A file is written to a temporary file beside its target, which ``os.replace``
 moves over the target once it is complete, so a killed process or a failing
 write leaves the previous file or none, never a partial one.
+
+It also owns the file layouts: ``write_json`` (indented, key-sorted, no NaN)
+and ``write_csv``, whose one cell rule writes None as an empty cell and any
+other value with ``str``: a float or numpy float64 in its shortest round-trip
+form (NaN as ``nan``).
 """
 
 from __future__ import annotations
@@ -42,3 +47,16 @@ def write_text(path, text: str) -> None:
 def write_json(path, payload) -> None:
     """Indented, key-sorted JSON; a NaN or Inf raises ValueError before any write."""
     write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def csv_lines(header, rows):
+    """Yield the header line and one line per row, each ending in ``\\n``."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(["" if v is None else str(v) for v in row]) + "\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """Stream ``rows`` (any iterable, a generator too) to ``path`` as CSV."""
+    with atomic_open(path) as fh:
+        fh.writelines(csv_lines(header, rows))

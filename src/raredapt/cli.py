@@ -15,19 +15,23 @@ artifact files were fully written. Every artifact file atomically replaces its
 target (see :mod:`raredapt.artifacts`), so even a killed process leaves no
 artifact half-written.
 
-A train run directory contains: config.json (resolved config + dataset
-reference), checkpoint.ckpt (+ .meta.json sidecar), history.csv (per-epoch
-losses and split metrics), selected_metrics.json (the selected checkpoint's
-metrics), and train.log.
+A train run directory is written in this order: config.json (resolved config
++ dataset reference), checkpoint.ckpt (+ .meta.json sidecar), history.csv
+(per-epoch losses and split metrics), train.log, and selected_metrics.json
+(the selected checkpoint's metrics) last, so that it marks a complete run.
 
 A sweep directory holds one train run directory per (count, seed) cell under
 cells/<method>_count<N>_seed<S>/, and the learning curve sweep_<method>.csv
-with one row per successful cell (columns SWEEP_CSV_COLUMNS; a NaN metric is
-written as an empty cell). --counts and --seeds set each cell's
-synthetic_count and seed over any --config value. A cell that fails gets no
-curve row; its error message goes to failures.json under the key
-count<N>_seed<S>, and the sweep still exits 0. A cell whose training fails
-writes no directory.
+with one row per successful cell (columns SWEEP_CSV_COLUMNS). --counts and
+--seeds set each cell's synthetic_count and seed over any --config value. A
+cell whose training diverges (TrainingDiverged) or rejects the cell's values
+(ValueError, such as a count beyond the synthetic pool) gets no curve row and
+no directory; its message goes to failures.json under count<N>_seed<S>, and
+the sweep still exits 0. Any other error ends the sweep: an OSError exits 1
+with an error line, and anything else raises with its traceback.
+
+An undefined (NaN) metric is an empty cell in sweep_<method>.csv and
+comparison.csv, null in JSON, and nan in history.csv.
 
 The sweep runs its cells in a process pool of min(--jobs, cells) workers;
 each worker parses the dataset CSV in its first cell and keeps it for the
@@ -44,7 +48,6 @@ import ctypes
 import dataclasses
 import functools
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -52,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json, write_text
+from .artifacts import write_csv, write_json, write_text
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     SPLITS, DataFormatError, Dataset, GenSpec, class_histogram, generate, load_csv, save_csv
@@ -62,14 +65,8 @@ from .metrics import TABLE_COLUMNS, comparison_table, none_if_nan, table_row
 from .projection import bimodality_score, export_scatter, project_features
 from .training import EpochRecord, TrainConfig, TrainingDiverged, train
 
-SWEEP_CSV_COLUMNS = (
-    "count",
-    "seed",
-    "trans_rare_acc",
-    "trans_other_avg",
-    "cis_rare_acc",
-    "cis_other_avg",
-)
+SWEEP_CSV_COLUMNS = ("count", "seed", "trans_rare_acc", "trans_other_avg", "cis_rare_acc",
+                     "cis_other_avg")
 
 
 class CliError(RuntimeError):
@@ -119,28 +116,17 @@ def _build_train_config(args) -> TrainConfig:
         raise CliError(f"invalid train config: {exc}") from exc
 
 
-def _history_csv(history: list[EpochRecord]) -> str:
-    loss_cols = (
-        "classification_loss",
-        "domain_loss",
-        "coral_term",
-        "composite_loss",
-        "discriminator_acc",
-    )
-    split_cols = [
-        (split, metric)
-        for split in SPLITS
-        for metric in ("rare_acc", "other_macro", "overall")
-    ]
+def _write_history_csv(path, history: list[EpochRecord]) -> None:
+    loss_cols = ("classification_loss", "domain_loss", "coral_term", "composite_loss",
+                 "discriminator_acc")
+    split_cols = [(s, m) for s in SPLITS for m in ("rare_acc", "other_macro", "overall")]
     header = ["epoch", *loss_cols] + [f"{s}_{m}" for s, m in split_cols]
-    lines = [",".join(header)]
-    for rec in history:
-        row = [str(rec.epoch)]
-        row += [repr(float(getattr(rec, c))) for c in loss_cols]
-        for split, metric in split_cols:
-            row.append(repr(float(getattr(rec.split_metrics[split], metric))))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = (
+        [rec.epoch, *(getattr(rec, c) for c in loss_cols)]
+        + [getattr(rec.split_metrics[split], metric) for split, metric in split_cols]
+        for rec in history
+    )
+    write_csv(path, header, rows)
 
 
 def _selected_metrics_payload(config: TrainConfig, checkpoint: Checkpoint, history) -> dict:
@@ -158,13 +144,11 @@ def _selected_metrics_payload(config: TrainConfig, checkpoint: Checkpoint, histo
 
 
 def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, history) -> dict:
-    """Write one run directory; return its ``selected_metrics.json`` payload."""
+    """Write one run directory, ``selected_metrics.json`` last; return its payload."""
     write_json(out / "config.json", {"data": str(data_path), "config": asdict(config),
                                      "config_hash": config.config_hash()})
     save_checkpoint(checkpoint, out / "checkpoint.ckpt")
-    write_text(out / "history.csv", _history_csv(history))
-    selected = _selected_metrics_payload(config, checkpoint, history)
-    write_json(out / "selected_metrics.json", selected)
+    _write_history_csv(out / "history.csv", history)
     log_lines = []
     for rec in history:
         tv = rec.split_metrics["trans_val"]
@@ -175,6 +159,8 @@ def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, histor
         )
     log_lines.append(f"selected epoch {checkpoint.epoch}")
     write_text(out / "train.log", "\n".join(log_lines) + "\n")
+    selected = _selected_metrics_payload(config, checkpoint, history)
+    write_json(out / "selected_metrics.json", selected)
     return selected
 
 
@@ -194,8 +180,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = load_csv(args.data)
     config = _build_train_config(args)
+    dataset = load_csv(args.data)
     checkpoint, history = train(dataset, config)
     out = Path(args.out)
     _write_run_dir(out, args.data, config, checkpoint, history)
@@ -234,15 +220,16 @@ def _sweep_dataset(data_path: str) -> Dataset:
 
 
 def _sweep_run_one(job: tuple[TrainConfig, str, Path]) -> dict | str:
-    """One sweep cell: its ``selected_metrics.json`` payload, or its error
-    message. An unreadable dataset raises instead, which ends the sweep."""
+    """One sweep cell: its ``selected_metrics.json`` payload, or the message of
+    a training that diverged or rejected the cell's values. Any other error
+    (an unreadable dataset, a failed write, a bug) raises and ends the sweep."""
     config, data_path, out = job
     dataset = _sweep_dataset(data_path)
     try:
         checkpoint, history = train(dataset, config)
-        return _write_run_dir(out, data_path, config, checkpoint, history)
-    except Exception as exc:  # per-cell failure: record, keep sweeping
+    except (TrainingDiverged, ValueError) as exc:  # this cell's failure: record, keep sweeping
         return str(exc)
+    return _write_run_dir(out, data_path, config, checkpoint, history)
 
 
 def _positive_int(text: str) -> int:
@@ -301,22 +288,20 @@ def cmd_sweep(args) -> int:
     ) as pool:
         results = list(pool.map(_sweep_run_one, jobs))
 
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
+    rows = []
     failures = {}
     for (config, _, _), result in zip(jobs, results):
         if isinstance(result, str):
             failures[f"count{config.synthetic_count}_seed{config.seed}"] = result
             continue
         row = result["table_row"]
-        cells = [str(config.synthetic_count), str(config.seed)]
-        cells += ["" if row[k] is None else repr(float(row[k])) for k in SWEEP_CSV_COLUMNS[2:]]
-        lines.append(",".join(cells))
+        rows.append([config.synthetic_count, config.seed, *(row[k] for k in SWEEP_CSV_COLUMNS[2:])])
     curve_path = out / f"sweep_{args.method}.csv"
-    write_text(curve_path, "\n".join(lines) + "\n")
+    write_csv(curve_path, SWEEP_CSV_COLUMNS, rows)
     if failures:
         write_json(out / "failures.json", failures)
         print(f"{len(failures)} cell(s) failed; see {out / 'failures.json'}", file=sys.stderr)
-    print(f"sweep curve written to {curve_path} ({len(lines) - 1} rows)")
+    print(f"sweep curve written to {curve_path} ({len(rows)} rows)")
     return 0
 
 
@@ -328,7 +313,7 @@ def cmd_compare(args) -> int:
             raise CliError(f"run directory {run} has no selected_metrics.json")
         try:
             table = json.loads(metrics_path.read_text(encoding="utf-8"))["table_row"]
-            row = {k: (math.nan if table[k] is None else float(table[k])) for k in TABLE_COLUMNS}
+            row = {k: (None if table[k] is None else float(table[k])) for k in TABLE_COLUMNS}
         except (ValueError, KeyError, TypeError) as exc:
             raise CliError(f"malformed {metrics_path}: {type(exc).__name__}: {exc}") from exc
         entries.append((Path(run).name, row))

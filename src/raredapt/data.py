@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import write_csv
 from .numerics import make_rng, require_field_types, require_finite
 
 SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
@@ -384,17 +384,10 @@ def expected_header(feature_dim: int) -> list[str]:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write the documented CSV schema; floats use shortest round-trip repr."""
-    with atomic_open(path) as fh:
-        fh.write(",".join(expected_header(dataset.feature_dim)) + "\n")
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row += [
-                str(int(dataset.class_ids[i])),
-                str(dataset.domains[i]),
-                str(int(dataset.location_ids[i])),
-                str(dataset.splits[i]),
-            ]
-            fh.write(",".join(row) + "\n")
+    columns = (dataset.features, dataset.class_ids, dataset.domains, dataset.location_ids,
+               dataset.splits)
+    rows = ([*x.tolist(), *meta] for x, *meta in zip(*columns))
+    write_csv(path, expected_header(dataset.feature_dim), rows)
 
 
 def load_csv(path) -> Dataset:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import csv_lines
 from .data import SPLITS, Dataset
 from .network import Network
 from .numerics import require_finite
@@ -98,24 +99,19 @@ def table_row(metrics_by_split: dict[str, RunMetrics]) -> dict[str, float]:
     }
 
 
-def comparison_table(entries: list[tuple[str, dict[str, float]]]) -> tuple[str, str]:
+def comparison_table(entries: list[tuple[str, dict[str, float | None]]]) -> tuple[str, str]:
     """Render the method comparison as aligned text and as CSV.
 
-    ``entries`` maps a method name to its four accuracies (see ``table_row``).
-    The text table shows percentages with one decimal; the CSV keeps full
-    precision fractions and re-parses to the exact in-memory values.
+    ``entries`` maps a method name to its four accuracies (see ``table_row``);
+    an accuracy may be None. The text table shows percentages with one decimal
+    and None as ``-``; the CSV keeps full precision fractions, which re-parse
+    to the exact in-memory values, and None as an empty cell.
     """
     name_width = max([len("method")] + [len(name) for name, _ in entries])
     headers = ("trans rare", "cis rare", "trans other", "cis other")
     lines = ["method".ljust(name_width) + "".join(h.rjust(13) for h in headers)]
-    csv_lines = ["method," + ",".join(TABLE_COLUMNS)]
     for name, row in entries:
-        cells = []
-        csv_cells = [name]
-        for col in TABLE_COLUMNS:
-            value = row[col]
-            cells.append(("-" if math.isnan(value) else f"{100.0 * value:.1f}").rjust(13))
-            csv_cells.append("" if math.isnan(value) else repr(float(value)))
-        lines.append(name.ljust(name_width) + "".join(cells))
-        csv_lines.append(",".join(csv_cells))
-    return "\n".join(lines) + "\n", "\n".join(csv_lines) + "\n"
+        cells = ["-" if row[c] is None else f"{100.0 * row[c]:.1f}" for c in TABLE_COLUMNS]
+        lines.append(name.ljust(name_width) + "".join(cell.rjust(13) for cell in cells))
+    csv_rows = ([name, *(row[c] for c in TABLE_COLUMNS)] for name, row in entries)
+    return "\n".join(lines) + "\n", "".join(csv_lines(("method", *TABLE_COLUMNS), csv_rows))

@@ -22,6 +22,7 @@ streams on every platform.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import typing
 
@@ -72,7 +73,8 @@ def require_field_types(obj) -> None:
     """Raise one ValueError naming each field of dataclass ``obj`` whose value
     does not fit its annotation: an integer for int, a real number for float
     (JSON writes ``1`` for ``1.0``), never a bool; each element for
-    ``tuple[X, ...]``; also None for ``X | None``. Other annotations pass."""
+    ``tuple[X, ...]``; also None for ``X | None``. Other annotations pass.
+    Then raise one naming each field that holds a NaN or an infinity."""
     cls = type(obj)
     wrong = [
         f"{name} must be {cls.__annotations__[name]}, got {getattr(obj, name)!r}"
@@ -81,6 +83,10 @@ def require_field_types(obj) -> None:
     ]
     if wrong:
         raise ValueError("; ".join(wrong))
+    non_finite = [name for name in _type_hints(cls)
+                  if isinstance(v := getattr(obj, name), numbers.Real) and not math.isfinite(v)]
+    if non_finite:
+        raise ValueError(f"{', '.join(non_finite)} must be finite")
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

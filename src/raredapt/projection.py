@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import atomic_open, write_text
+from .artifacts import write_csv, write_text
 from .data import Dataset
 from .network import Network
 from .numerics import make_rng
@@ -115,11 +115,8 @@ def export_scatter(proj: ProjectedFeatures, prefix) -> tuple[str, str]:
     svg_path = f"{prefix}.svg"
     xs = proj.coords[:, 0]
     ys = proj.coords[:, 1] if proj.coords.shape[1] > 1 else np.zeros_like(xs)
-    columns = (xs, ys, proj.class_ids, proj.domains, proj.splits, proj.correct)
-    with atomic_open(csv_path) as fh:
-        fh.write("x,y,class_id,domain,split,correct\n")
-        for x, y, class_id, domain, split, correct in zip(*columns):
-            fh.write(f"{float(x)!r},{float(y)!r},{int(class_id)},{domain},{split},{int(correct)}\n")
+    columns = (xs, ys, proj.class_ids, proj.domains, proj.splits, proj.correct.astype(np.int64))
+    write_csv(csv_path, ("x", "y", "class_id", "domain", "split", "correct"), zip(*columns))
 
     size, margin = 640, 48
     x_lo, x_hi = float(xs.min()), float(xs.max())

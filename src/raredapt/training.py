@@ -98,19 +98,18 @@ class TrainConfig:
         require_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        non_finite = [
-            k for k, v in asdict(self).items() if isinstance(v, float) and not math.isfinite(v)
-        ]
-        if non_finite:
-            raise ValueError(f"{', '.join(non_finite)} must be finite")
         rules = (
             (">= 1", lambda v: v >= 1, ("epochs", "oversample_factor")),
             (">= 2", lambda v: v >= 2, ("batch_size",)),
             ("> 0", lambda v: v > 0, ("learning_rate", "head_lr_multiplier", "adam_eps")),
             (">= 0", lambda v: v >= 0, ("l2", "coral_weight", "domain_weight", "grl_scale",
                                         "grl_ramp_epochs", "synthetic_count", "feature_jitter",
-                                        "selection_tolerance_points")),
+                                        "selection_tolerance_points", "seed")),
             ("in [0, 1)", lambda v: 0 <= v < 1, ("beta1", "beta2")),
+            ("None or >= 0", lambda v: v is None or v >= 0, ("rare_class_id",)),
+            ("non-empty", bool, ("feature_dims",)),
+            ("all >= 1", lambda v: min(v, default=1) >= 1,
+             ("feature_dims", "classifier_hidden", "discriminator_hidden")),
         )
         out_of_range = [
             f"{name} must be {rule}, got {getattr(self, name)!r}"

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import raredapt
-from raredapt.artifacts import atomic_open, write_json, write_text
+from raredapt.artifacts import atomic_open, csv_lines, write_csv, write_json, write_text
 
 PACKAGE = Path(raredapt.__file__).parent
 
@@ -80,8 +81,54 @@ def test_write_json_layout_and_nan_leaves_the_target_untouched(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["projection.json"]
 
 
+def test_write_csv_cell_rule(tmp_path):
+    # None is an empty cell; a float, Python or numpy, its shortest round-trip
+    # form (repr); anything else str()
+    floats = [0.1, 1e16, 1e-05, -0.0, 5e-324, math.nan]
+    target = tmp_path / "table.csv"
+    write_csv(target, ["name", "a", "b", "c", "d", "e", "f"],
+              [["py", *floats], ["np", *np.array(floats)], ["int", 3, np.int64(-4), None, "x",
+                                                            np.str_("real"), True]])
+    assert target.read_text(encoding="utf-8").splitlines() == [
+        "name,a,b,c,d,e,f",
+        "py,0.1,1e+16,1e-05,-0.0,5e-324,nan",
+        "np,0.1,1e+16,1e-05,-0.0,5e-324,nan",
+        "int,3,-4,,x,real,True",
+    ]
+
+
+def test_csv_rows_are_streamed_from_a_generator(tmp_path):
+    pulled = []
+
+    def rows():
+        for i in range(3):
+            pulled.append(i)
+            yield [i, i / 2]
+
+    lines = csv_lines(("i", "half"), rows())
+    assert next(lines) == "i,half\n" and pulled == []
+    assert next(lines) == "0,0.0\n" and pulled == [0]
+    write_csv(tmp_path / "t.csv", ("i", "half"), rows())
+    assert (tmp_path / "t.csv").read_bytes() == b"i,half\n0,0.0\n1,0.5\n2,1.0\n"
+
+
+def test_a_failing_row_generator_leaves_the_old_file_and_no_temp_file(tmp_path):
+    target = tmp_path / "sweep_deerdann.csv"
+    write_text(target, "old\n")
+
+    def rows():
+        yield [1, 2.5]
+        raise RuntimeError("row two")
+
+    with pytest.raises(RuntimeError, match="row two"):
+        write_csv(target, ("count", "acc"), rows())
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_deerdann.csv"]
+
+
 def _writes_outside_the_writer(tree: ast.AST) -> list[str]:
-    """Calls that write a file or make a directory without ``artifacts``."""
+    """Calls that write a file, make a directory or join a CSV line without
+    ``artifacts``."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -90,6 +137,8 @@ def _writes_outside_the_writer(tree: ast.AST) -> list[str]:
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         if name in ("write_text", "write_bytes", "mkdir") and isinstance(func, ast.Attribute):
             found.append(f"line {node.lineno}: .{name}(")
+        elif name == "join" and getattr(func.value, "value", None) == ",":
+            found.append(f'line {node.lineno}: ",".join(')
         elif name == "dump" and getattr(func.value, "id", None) == "json":
             found.append(f"line {node.lineno}: json.dump(")
         elif name == "open":
@@ -117,5 +166,6 @@ def test_every_file_write_goes_through_the_writer():
         "open(p, 'w')\nopen(p, mode='wb')\nopen(p, m)\np.open('a')\np.write_text(t)\n"
         "p.write_bytes(b)\np.mkdir()\njson.dump(x, fh)\nopen(p)\nopen(p, 'rb')\np.open()\n"
         "write_text(p, t)\n"
+        '",".join(r)\n", ".join(r)\n'
     )
-    assert len(_writes_outside_the_writer(sample)) == 8
+    assert len(_writes_outside_the_writer(sample)) == 9

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 
@@ -8,6 +9,7 @@ import pytest
 
 from raredapt import cli, save_checkpoint
 from raredapt.checkpoint import MAGIC
+from raredapt.training import TrainingDiverged
 from raredapt.cli import main
 
 from conftest import tiny_gen_spec
@@ -119,6 +121,49 @@ def test_sweep_records_failed_cells_and_keeps_going(tmp_path, jobs):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_sweep_records_a_diverged_cell(tmp_path, monkeypatch):
+    real_train = cli.train
+
+    def diverge_at_count_50(dataset, config):
+        if config.synthetic_count == 50:
+            raise TrainingDiverged("non-finite loss at count 50")
+        return real_train(dataset, config)
+
+    monkeypatch.setattr(cli, "train", diverge_at_count_50)  # the forked workers inherit it
+    data = write_tiny_csv(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(sweep_argv(data, out, seeds="0", jobs=2)) == 0
+    failures = json.loads((out / "failures.json").read_text(encoding="utf-8"))
+    assert failures == {"count50_seed0": "non-finite loss at count 50"}
+    assert [p.name for p in (out / "cells").iterdir()] == ["deerdann_count0_seed0"]
+
+
+def test_sweep_ends_on_an_error_that_is_not_the_cells(tmp_path, monkeypatch, capsys):
+    # a bug is not recorded as a failed cell: it raises with its traceback
+    data = write_tiny_csv(tmp_path)
+    out = tmp_path / "sweep"
+
+    def buggy_train(dataset, config):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(cli, "train", buggy_train)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main(sweep_argv(data, out, jobs=2))
+    assert not out.exists()
+    # a failed write exits 1 with one error line
+    monkeypatch.undo()
+
+    def failing_write_text(path, text):
+        raise OSError(f"disk full: {path.name}")
+
+    monkeypatch.setattr(cli, "write_text", failing_write_text)
+    capsys.readouterr()
+    assert main(sweep_argv(data, out, seeds="0", counts="0")) == 1
+    assert capsys.readouterr().err == "error: disk full: train.log\n"
+    assert not (out / "failures.json").exists()
+    assert not (out / "sweep_deerdann.csv").exists()
+
+
 def test_sweep_unreadable_data_fails_alike_with_one_and_two_jobs(tmp_path, capsys):
     data = write_tiny_csv(tmp_path)
     lines = data.read_text(encoding="utf-8").splitlines()
@@ -171,6 +216,69 @@ def test_train_config_value_of_wrong_type_is_a_clean_error(tmp_path, capsys):
                      "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: invalid train config: {message}\n"
         assert not run.exists()
+
+
+def test_train_writes_selected_metrics_last(tmp_path, monkeypatch, capsys):
+    # a run directory without selected_metrics.json is an incomplete run
+    data = write_tiny_csv(tmp_path)
+    real_write_text = cli.write_text
+
+    def failing_log(path, text):
+        if path.name == "train.log":
+            raise OSError(f"disk full: {path.name}")
+        real_write_text(path, text)
+
+    monkeypatch.setattr(cli, "write_text", failing_log)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
+                 "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 1
+    assert capsys.readouterr().err == "error: disk full: train.log\n"
+    assert (run / "history.csv").is_file()
+    assert not (run / "selected_metrics.json").exists()
+
+
+def test_train_checks_the_config_before_reading_the_csv(tmp_path, capsys):
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "missing.csv"), "--method", "deerdann",
+                 "--out", str(run), "--epochs", "0"]) == 1
+    assert capsys.readouterr().err == "error: invalid train config: epochs must be >= 1, got 0\n"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{not json", "cannot read config {path}: Expecting property name"),
+    ("[1, 2]", "config {path} must be a JSON object"),
+    ('{"epochs": 1, "momentum": 0.9, "dropout": 0.1}',
+     "unknown TrainConfig field(s) in {path}: dropout, momentum"),
+])
+def test_train_config_file_errors_name_the_file(tmp_path, capsys, content, message):
+    config = tmp_path / "train.json"
+    config.write_text(content, encoding="utf-8")
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "missing.csv"), "--method", "deerdann",
+                 "--out", str(run), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=config))
+    assert err.count("\n") == 1
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"feature_dims": []}, "feature_dims must be non-empty, got ()"),
+    ({"discriminator_hidden": [0]}, "discriminator_hidden must be all >= 1, got (0,)"),
+])
+def test_sweep_bad_network_shape_fails_before_any_cell_runs(tmp_path, capsys, payload, message):
+    data = write_tiny_csv(tmp_path)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert main(sweep_argv(data, out) + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: invalid train config: {message}\n"
+    assert not out.exists()
 
 
 def test_sweep_out_of_range_config_fails_before_any_cell_runs(tmp_path, capsys):
@@ -234,6 +342,10 @@ def test_gen_data_scalar_gap_matrix_is_a_clean_error(tmp_path, capsys):
     ("noise_scale", -1, "noise_scale must be >= 0, got -1"),
     ("class_mean_scale", -1.0, "class_mean_scale must be >= 0, got -1.0"),
     ("location_jitter", -0.5, "location_jitter must be >= 0, got -0.5"),
+    ("noise_scale", math.nan, "noise_scale must be finite"),
+    ("gap_rotation", math.inf, "gap_rotation must be finite"),
+    ("gap_condition", math.inf, "gap_condition must be finite"),
+    ("class_mean_scale", -math.inf, "class_mean_scale must be finite"),
 ])
 def test_gen_data_bad_spec_value_is_a_clean_error(tmp_path, capsys, field, value, message):
     spec = tmp_path / "spec.json"

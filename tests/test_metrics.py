@@ -163,6 +163,14 @@ def test_comparison_table_single_row():
     assert len(csv_text.splitlines()) == 2
 
 
+def test_comparison_table_shows_an_undefined_accuracy_as_a_dash_and_an_empty_cell():
+    row = {"trans_rare_acc": None, "cis_rare_acc": 0.5, "trans_other_avg": 0.25,
+           "cis_other_avg": 1.0}
+    text, csv_text = comparison_table([("deerdann", row)])
+    assert text.splitlines()[1].split() == ["deerdann", "-", "50.0", "25.0", "100.0"]
+    assert csv_text.splitlines()[1] == "deerdann,,0.5,0.25,1.0"
+
+
 def test_table_row_extracts_test_split_numbers():
     ds = handmade_dataset(BASE_COUNTS)
     net = zero_logit_net()

@@ -336,6 +336,23 @@ def test_config_validation():
     assert cfg.config_hash() != TrainConfig(method="baseline", seed=1).config_hash()
 
 
+def test_config_rejects_network_shapes_and_ids_that_would_fail_inside_train():
+    with pytest.raises(ValueError) as info:
+        TrainConfig(method="deerdann", seed=-1, rare_class_id=-2, feature_dims=(8, 0),
+                    classifier_hidden=(0,), discriminator_hidden=(-1, 4))
+    assert str(info.value).split("; ") == [
+        "seed must be >= 0, got -1",
+        "rare_class_id must be None or >= 0, got -2",
+        "feature_dims must be all >= 1, got (8, 0)",
+        "classifier_hidden must be all >= 1, got (0,)",
+        "discriminator_hidden must be all >= 1, got (-1, 4)",
+    ]
+    with pytest.raises(ValueError, match=r"^feature_dims must be non-empty, got \(\)$"):
+        TrainConfig(method="baseline", feature_dims=())
+    TrainConfig(method="baseline", feature_dims=(1,), classifier_hidden=(),
+                discriminator_hidden=(), rare_class_id=0)
+
+
 def test_feature_level_coral_variant_runs(tiny_dataset):
     cfg = TrainConfig(
         method="deercoral",
