@@ -305,9 +305,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _run_labels(runs: list[str]) -> list[str]:
+    """Label each run by its last path parts, as few as keep the labels distinct."""
+    parts = [Path(run).parts for run in runs]
+    for depth in range(1, max(len(p) for p in parts) + 1):
+        labels = [str(Path(*p[-depth:])) for p in parts]
+        if len(set(labels)) == len(labels):
+            return labels
+    return runs
+
+
 def cmd_compare(args) -> int:
     entries = []
-    for run in args.runs.split(","):
+    runs = args.runs.split(",")
+    for run, label in zip(runs, _run_labels(runs)):
         metrics_path = Path(run) / "selected_metrics.json"
         if not metrics_path.is_file():
             raise CliError(f"run directory {run} has no selected_metrics.json")
@@ -316,7 +327,7 @@ def cmd_compare(args) -> int:
             row = {k: (None if table[k] is None else float(table[k])) for k in TABLE_COLUMNS}
         except (ValueError, KeyError, TypeError) as exc:
             raise CliError(f"malformed {metrics_path}: {type(exc).__name__}: {exc}") from exc
-        entries.append((Path(run).name, row))
+        entries.append((label, row))
     text, csv_text = comparison_table(entries)
     out = Path(args.out)
     write_text(out / "comparison.txt", text)
@@ -413,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="comparison table from run directories")
-    p.add_argument("--runs", required=True, help="comma-separated run directories")
+    p.add_argument("--runs", required=True,
+                   help="comma-separated run directories; each row is named by the fewest "
+                        "trailing path parts that tell the runs apart")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

@@ -23,6 +23,12 @@ save -> load reproduces every value bit for bit and re-saving is
 byte-identical. Synthetic samples carry split=train (they exist only as
 training augmentation) and location_id -1 (no physical camera).
 
+``load_csv`` reads the file in a single streaming pass: Python checks each
+line's four metadata cells, and numpy's C float parser reads the feature
+block, rounding exactly as ``float()`` does. Feature values with underscores
+(``1_0``), which ``float()`` accepts, are rejected; ``save_csv`` never writes
+them.
+
 Split/histogram semantics: "train" throughout this package means the *real*
 training samples; the synthetic pool is a separate population selected by
 domain. ``class_histogram`` therefore defaults to counting real samples.
@@ -30,6 +36,7 @@ domain. ``class_histogram`` therefore defaults to counting real samples.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -41,6 +48,7 @@ from .numerics import make_rng, require_field_types, require_finite
 SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
 DOMAIN_TOKENS = ("real", "synthetic")
 SYNTHETIC_LOCATION = -1
+_META_COLUMNS = 4  # class_id, domain, location_id, split
 
 
 class DataFormatError(ValueError):
@@ -172,9 +180,11 @@ class Dataset:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise DataFormatError(f"{name} has shape {arr.shape}, expected ({n},)")
+        if n == 0:
+            raise DataFormatError("dataset has no rows")
         require_finite(self.features, "dataset features")
         k = len(self.class_names)
-        if n and (self.class_ids.min() < 0 or self.class_ids.max() >= k):
+        if self.class_ids.min() < 0 or self.class_ids.max() >= k:
             raise DataFormatError(f"class_id out of range [0, {k})")
         bad_domain = ~np.isin(self.domains, DOMAIN_TOKENS)
         if bad_domain.any():
@@ -283,6 +293,8 @@ def synthetic_map(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, float]:
         a = np.asarray(spec.gap_matrix, dtype=np.float64)
         if a.shape != (d, d):
             raise ValueError(f"gap_matrix must be {d}x{d}, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("gap_matrix must be finite")
     else:
         theta = spec.gap_rotation
         eye = np.eye(d)
@@ -299,6 +311,8 @@ def synthetic_map(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, float]:
         b = np.asarray(spec.gap_offset_vector, dtype=np.float64)
         if b.shape != (d,):
             raise ValueError(f"gap_offset_vector must have length {d}, got {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("gap_offset_vector must be finite")
     else:
         separation_unit = spec.class_mean_scale * np.sqrt(2.0 * d)
         b = direction * spec.gap_offset * separation_unit
@@ -393,59 +407,115 @@ def save_csv(dataset: Dataset, path) -> None:
 def load_csv(path) -> Dataset:
     """Parse the CSV schema back into a Dataset, validating every invariant.
 
-    Errors carry 1-based line numbers. The header determines the feature
-    dimension; every row must match it exactly.
+    One streaming pass over the file, which is never held in memory whole:
+    the header fixes the feature dimension, each data line's four metadata
+    cells are split off and checked in Python, and ``np.loadtxt`` parses the
+    feature block with the same correctly rounded conversion as ``float()``.
+    Feature values follow ``float()``'s grammar minus underscores (``1_0`` is
+    rejected) and non-ASCII digits, neither of which ``save_csv`` writes.
+
+    Errors carry 1-based line numbers; a bad feature value is reported in
+    ``float()``'s words (found by a second scan, on that error path only). A
+    file with one fault reports that fault; in a file with several, the one
+    reported need not be the first in file order.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
-    n_meta = 4
-    d = len(header) - n_meta
-    if d < 1 or header != expected_header(d):
-        raise DataFormatError(
-            f"{path}: line 1: malformed header; expected f0..f{{d-1}},class_id,domain,"
-            f"location_id,split, got {lines[0][:80]!r}"
-        )
-    feats = np.empty((len(lines) - 1, d))
-    classes = np.empty(len(lines) - 1, dtype=np.int64)
-    domains = []
-    locations = np.empty(len(lines) - 1, dtype=np.int64)
-    splits = []
-    for row_i, line in enumerate(lines[1:]):
-        line_no = row_i + 2
-        parts = line.split(",")
-        if len(parts) != d + n_meta:
+        header_line = fh.readline()
+        if not header_line:
+            raise DataFormatError(f"{path}: empty file")
+        header_text = header_line.rstrip("\n")
+        header = header_text.split(",")
+        d = len(header) - _META_COLUMNS
+        if d < 1 or header != expected_header(d):
             raise DataFormatError(
-                f"{path}: line {line_no}: expected {d + n_meta} columns "
-                f"({d} features + {n_meta} metadata), got {len(parts)}"
+                f"{path}: line 1: malformed header; expected f0..f{{d-1}},class_id,domain,"
+                f"location_id,split, got {header_text[:80]!r}"
+            )
+        meta = ([], [], [], [])
+        feature_lines = _feature_lines(fh, path, d, meta)
+        first = next(feature_lines, None)
+        if first is None:
+            raise DataFormatError(f"{path}: no data rows")
+        try:
+            feats = np.loadtxt(itertools.chain([first], feature_lines), delimiter=",",
+                               dtype=np.float64, ndmin=2, comments=None)
+        except DataFormatError:  # a metadata fault found while numpy read the lines
+            raise
+        except ValueError as exc:
+            _raise_first_bad_feature(path, d)
+            raise DataFormatError(f"{path}: {exc}") from exc
+    classes, domains, locations, splits = meta
+    class_ids = np.array(classes, dtype=np.int64)
+    k = int(class_ids.max()) + 1
+    try:
+        return Dataset(
+            features=feats,
+            class_ids=class_ids,
+            domains=np.array(domains),
+            location_ids=np.array(locations, dtype=np.int64),
+            splits=np.array(splits),
+            class_names=[f"class{i}" for i in range(k)],
+        )
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _feature_lines(lines, path, d: int, meta: tuple[list, list, list, list]):
+    """Check the metadata cells of each data line, append them to ``meta`` and
+    yield the line's feature text; data lines are numbered from 2."""
+    classes, domains, locations, splits = meta
+    for line_no, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
+        cells = line.rsplit(",", _META_COLUMNS)
+        if len(cells) != _META_COLUMNS + 1 or cells[0].count(",") != d - 1:
+            raise DataFormatError(
+                f"{path}: line {line_no}: expected {d + _META_COLUMNS} columns "
+                f"({d} features + {_META_COLUMNS} metadata), got {line.count(',') + 1}"
+            )
+        features, class_id, domain, location_id, split = cells
+        if not features.strip():
+            # np.loadtxt skips a blank line, which would shift every later row.
+            raise DataFormatError(
+                f"{path}: line {line_no}: could not convert string to float: {features!r}"
             )
         try:
-            feats[row_i] = [float(v) for v in parts[:d]]
-            classes[row_i] = int(parts[d])
-            locations[row_i] = int(parts[d + 2])
+            classes.append(int(class_id))
+            locations.append(int(location_id))
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {line_no}: {exc}") from exc
-        domain, split = parts[d + 1], parts[d + 3]
         if domain not in DOMAIN_TOKENS:
             raise DataFormatError(f"{path}: line {line_no}: unknown domain token {domain!r}")
         if split not in SPLITS:
             raise DataFormatError(f"{path}: line {line_no}: unknown split token {split!r}")
         domains.append(domain)
         splits.append(split)
-    k = int(classes.max()) + 1 if len(classes) else 0
+        yield features
+
+
+def _raise_first_bad_feature(path, d: int) -> None:
+    """Rescan the file for the first line np.loadtxt rejected and raise its error
+    in ``float()``'s words; return if every feature value parses."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line_no, features in enumerate(_feature_lines(fh, path, d, ([], [], [], [])), start=2):
+            for token in features.split(","):
+                if not _parses_as_numpy_float(token):
+                    raise DataFormatError(
+                        f"{path}: line {line_no}: could not convert string to float: {token!r}"
+                    )
+
+
+def _parses_as_numpy_float(token: str) -> bool:
+    """np.loadtxt's float grammar: Unicode whitespace around an ASCII
+    ``float()`` literal without underscores."""
+    body = token.strip()
+    if not body.isascii() or "_" in body:
+        return False
     try:
-        return Dataset(
-            features=feats,
-            class_ids=classes,
-            domains=np.array(domains),
-            location_ids=locations,
-            splits=np.array(splits),
-            class_names=[f"class{i}" for i in range(k)],
-        )
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+        float(body)
+    except ValueError:
+        return False
+    return True
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

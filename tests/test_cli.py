@@ -331,6 +331,22 @@ def test_gen_data_scalar_gap_matrix_is_a_clean_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gap_matrix", [[1.0] * 8] * 7 + [[1.0] * 7 + [math.nan]]),
+    ("gap_offset_vector", [0.0] * 7 + [math.inf]),
+])
+def test_gen_data_non_finite_gap_field_is_named(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    payload = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in dataclasses.asdict(tiny_gen_spec()).items()}
+    spec.write_text(json.dumps({**payload, field: value}), encoding="utf-8")
+    out = tmp_path / "data.csv"
+    capsys.readouterr()
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("synthetic_pool_size", 10.0, "synthetic_pool_size must be int, got 10.0"),
     ("val_count_per_class", 0, "val_count_per_class must be >= 1, got 0"),
@@ -464,6 +480,23 @@ def test_project_truncated_checkpoint_is_a_clean_error(tmp_path, capsys):
                  "--out", str(tmp_path / "proj")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "truncated" in err
+
+
+def test_compare_names_runs_with_the_same_directory_name_apart(tmp_path):
+    runs = [tmp_path / "a" / "run", tmp_path / "b" / "run"]
+    for i, run in enumerate(runs):
+        run.mkdir(parents=True)
+        row = {"trans_rare_acc": 0.5 + i / 4, "cis_rare_acc": 0.5, "trans_other_avg": 0.25,
+               "cis_other_avg": None}
+        (run / "selected_metrics.json").write_text(json.dumps({"table_row": row}), encoding="utf-8")
+    cmp_dir = tmp_path / "cmp"
+    assert main(["compare", "--runs", ",".join(map(str, runs)), "--out", str(cmp_dir)]) == 0
+    with open(cmp_dir / "comparison.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["trans_rare_acc"]) for r in rows] == [
+        ("a/run", "0.5"), ("b/run", "0.75")]
+    text = (cmp_dir / "comparison.txt").read_text(encoding="utf-8")
+    assert [line.split()[0] for line in text.splitlines()[1:]] == ["a/run", "b/run"]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,14 @@
+import dataclasses
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from raredapt import GenSpec, class_histogram, datasets_equal, generate, load_csv, save_csv
-from raredapt.data import DataFormatError, SPLITS, synthetic_map
+from raredapt.data import DataFormatError, SPLITS, Dataset, _parses_as_numpy_float, synthetic_map
 
 from conftest import tiny_gen_spec
 
@@ -219,6 +225,93 @@ def test_dataset_requires_rare_class_in_test_splits(tmp_path):
     _write_rows(path, ["f0", "f1", "class_id", "domain", "location_id", "split"], rows)
     with pytest.raises(DataFormatError, match="missing from trans_test"):
         load_csv(path)
+
+
+TINY_HEADER = ["f0", "f1", "class_id", "domain", "location_id", "split"]
+FINITE_DOUBLES = (
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(np.isfinite)
+)
+EDGE_DOUBLES = [-0.0, 5e-324, 1e16, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+                2.2250738585072014e-308, 0.1, -1e-300, 9007199254740993.0, 1.0, 0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(FINITE_DOUBLES, min_size=22, max_size=22))  # _tiny_rows(): 11 x 2
+@example(values=EDGE_DOUBLES * 2)
+def test_csv_round_trips_any_finite_double_bit_for_bit(tmp_path_factory, values):
+    tmp = tmp_path_factory.mktemp("round_trip")
+    _write_rows(tmp / "tiny.csv", TINY_HEADER, _tiny_rows())
+    base = load_csv(tmp / "tiny.csv")
+    ds = dataclasses.replace(base, features=np.array(values).reshape(base.features.shape))
+    save_csv(ds, tmp / "a.csv")
+    loaded = load_csv(tmp / "a.csv")
+    assert np.array_equal(loaded.features.view(np.uint64), ds.features.view(np.uint64))
+    assert datasets_equal(loaded, ds)
+    save_csv(loaded, tmp / "b.csv")
+    assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("column, cell, reason", [
+    (1, "abc", "could not convert string to float: 'abc'"),
+    (1, "1#2", "could not convert string to float: '1#2'"),  # '#' comments would read 1.0
+    (1, "1_0", "could not convert string to float: '1_0'"),
+    (0, "", "could not convert string to float: ''"),
+    (2, "x", "invalid literal for int() with base 10: 'x'"),
+    (4, "1.5", "invalid literal for int() with base 10: '1.5'"),
+])
+def test_csv_bad_cell_on_a_later_line_names_that_line(tmp_path, column, cell, reason):
+    rows = _tiny_rows()
+    cells = rows[5].split(",")
+    cells[column] = cell
+    rows[5] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    _write_rows(path, TINY_HEADER, rows)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: line 7: {reason}')}$"):
+        load_csv(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=st.text(alphabet=list("0123456789.eE+-_ #nafiNx\t\x0c\x1c\xa0\u0661"), min_size=1,
+                     max_size=8))
+def test_bad_feature_rescan_agrees_with_numpy_parser(token):
+    try:
+        np.loadtxt([token, "0"], delimiter=",", dtype=np.float64, comments=None)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert _parses_as_numpy_float(token) == accepted
+
+
+def test_csv_blank_feature_of_a_one_feature_file_names_its_line(tmp_path):
+    rows = [row.split(",", 1)[1] for row in _tiny_rows()]  # drop f0, keep f1 as the only feature
+    rows[3] = "," + rows[3].split(",", 1)[1]  # np.loadtxt would skip this blank feature text
+    path = tmp_path / "one.csv"
+    _write_rows(path, ["f0", *TINY_HEADER[2:]], rows)
+    reason = "line 5: could not convert string to float: ''"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+        load_csv(path)
+
+
+def test_csv_crlf_file_loads_equal_to_lf_file(tmp_path):
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    _write_rows(lf, TINY_HEADER, _tiny_rows())
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert datasets_equal(load_csv(crlf), load_csv(lf))
+
+
+def test_csv_header_only_file_has_no_data_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    _write_rows(path, TINY_HEADER, [])
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: no data rows$"):
+        load_csv(path)
+
+
+def test_dataset_rejects_zero_rows():
+    with pytest.raises(DataFormatError, match="^dataset has no rows$"):
+        Dataset(features=np.empty((0, 2)), class_ids=[], domains=[], location_ids=[], splits=[],
+                class_names=["class0", "class1"])
 
 
 def test_splits_constant_matches_schema():
