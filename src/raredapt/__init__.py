@@ -36,7 +36,7 @@ from .network import (
     default_network_spec,
     grl_backward,
 )
-from .numerics import NonFiniteError, make_rng, softmax_rows
+from .numerics import NonFiniteError, make_rng
 from .projection import ProjectedFeatures, bimodality_score, export_scatter, pca_fit, project_features
 from .training import (
     Adam,

@@ -8,8 +8,9 @@ Subcommands wire the library end to end:
     raredapt compare   --runs dir1,dir2 --out dir
     raredapt project   --run dir --data data.csv --split s --out dir [...]
 
-Config files are JSON mirrors of the GenSpec / TrainConfig dataclasses;
-explicit command-line flags override config-file values. Every subcommand is
+Config files are JSON mirrors of the GenSpec / TrainConfig dataclasses; one
+builder makes either, and each flag given overrides the field its dest names.
+Choice flags take their choices from the library's tuples. Every subcommand is
 deterministic given its inputs and seeds, and exits 0 only when the requested
 artifact files were fully written. Every artifact file atomically replaces its
 target (see :mod:`raredapt.artifacts`), so even a killed process leaves no
@@ -63,7 +64,9 @@ from .data import (
 from .domains import METHODS
 from .metrics import TABLE_COLUMNS, comparison_table, none_if_nan, table_row
 from .projection import bimodality_score, export_scatter, project_features
-from .training import EpochRecord, TrainConfig, TrainingDiverged, train
+from .training import (
+    CORAL_LAYERS, DISCRIMINATOR_LABELS, EpochRecord, TrainConfig, TrainingDiverged, train
+)
 
 SWEEP_CSV_COLUMNS = ("count", "seed", "trans_rare_acc", "trans_other_avg", "cis_rare_acc",
                      "cis_other_avg")
@@ -92,28 +95,18 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
-def _build_gen_spec(args) -> GenSpec:
-    payload = _load_config_payload(args.spec, GenSpec) if args.spec else {}
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    try:
-        return GenSpec(**payload)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid generator spec: {exc}") from exc
-
-
-def _build_train_config(args) -> TrainConfig:
-    """The ``--config`` file's fields, overridden by every flag given (flag
-    ``dest`` names are ``TrainConfig`` field names)."""
-    payload = _load_config_payload(args.config, TrainConfig) if args.config else {}
-    for field in dataclasses.fields(TrainConfig):
+def _build_config(cls, path, args, what: str):
+    """A ``cls`` from the JSON file at ``path`` (if given), overridden by every
+    flag given whose ``dest`` is a field of ``cls``."""
+    payload = _load_config_payload(path, cls) if path else {}
+    for field in dataclasses.fields(cls):
         value = getattr(args, field.name, None)
         if value is not None:
             payload[field.name] = value
     try:
-        return TrainConfig(**payload)
+        return cls(**payload)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid train config: {exc}") from exc
+        raise CliError(f"invalid {what}: {exc}") from exc
 
 
 def _write_history_csv(path, history: list[EpochRecord]) -> None:
@@ -165,7 +158,7 @@ def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, histor
 
 
 def cmd_gen_data(args) -> int:
-    spec = _build_gen_spec(args)
+    spec = _build_config(GenSpec, args.spec, args, "generator spec")
     dataset = generate(spec)
     out = Path(args.out)
     save_csv(dataset, out)
@@ -175,12 +168,12 @@ def cmd_gen_data(args) -> int:
     for c, count in enumerate(hist):
         rare = "  <- rare" if c == dataset.rare_class_id else ""
         print(f"  {dataset.class_names[c]}: {count}{rare}")
-    print(f"synthetic pool: {len(dataset.synthetic_pool_indices())}")
+    print(f"synthetic pool: {len(dataset.synthetic_indices)}")
     return 0
 
 
 def cmd_train(args) -> int:
-    config = _build_train_config(args)
+    config = _build_config(TrainConfig, args.config, args, "train config")
     dataset = load_csv(args.data)
     checkpoint, history = train(dataset, config)
     out = Path(args.out)
@@ -271,7 +264,7 @@ def _seed_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    base = _build_train_config(args)
+    base = _build_config(TrainConfig, args.config, args, "train config")
     out = Path(args.out)
     jobs = [
         (
@@ -350,9 +343,9 @@ def cmd_project(args) -> int:
         )
     net = checkpoint.build_network()
     dataset = load_csv(args.data)
-    indices = dataset.indices(split=args.split, domain="real")
+    indices = dataset.real_split_indices[args.split]
     if args.include_synthetic:
-        indices = np.concatenate([indices, dataset.synthetic_pool_indices()])
+        indices = np.concatenate([indices, dataset.synthetic_indices])
     if indices.size == 0:
         raise CliError(f"no samples selected for split {args.split!r}")
     proj = project_features(net, dataset, indices, n_components=args.components)
@@ -383,9 +376,8 @@ def _add_train_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grl-ramp-epochs", type=int)
     p.add_argument("--head-lr-multiplier", type=float)
     p.add_argument("--oversample-factor", type=int)
-    p.add_argument("--coral-layer", choices=("logits", "features"))
-    p.add_argument("--disc-labels", choices=("membership", "provenance"),
-                   dest="discriminator_labels")
+    p.add_argument("--coral-layer", choices=CORAL_LAYERS)
+    p.add_argument("--disc-labels", choices=DISCRIMINATOR_LABELS, dest="discriminator_labels")
     p.add_argument("--feature-jitter", type=float)
     p.add_argument("--selection-tolerance", type=float, dest="selection_tolerance_points")
 

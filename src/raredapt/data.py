@@ -31,7 +31,9 @@ them.
 
 Split/histogram semantics: "train" throughout this package means the *real*
 training samples; the synthetic pool is a separate population selected by
-domain. ``class_histogram`` therefore defaults to counting real samples.
+domain. The two cached row selectors, ``Dataset.real_split_indices`` and
+``synthetic_indices``, cover every row once; ``class_histogram`` counts real
+samples.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .artifacts import write_csv
-from .numerics import make_rng, require_field_types, require_finite
+from .numerics import make_rng, require_fields, require_finite
 
 SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
 DOMAIN_TOKENS = ("real", "synthetic")
@@ -53,6 +55,16 @@ _META_COLUMNS = 4  # class_id, domain, location_id, split
 
 class DataFormatError(ValueError):
     """Malformed dataset file or invariant-violating dataset contents."""
+
+
+_GEN_SPEC_RULES = (
+    (">= 2", lambda v: v >= 2, ("class_count", "feature_dim")),
+    (">= 1", lambda v: v >= 1, ("max_train_count", "rare_train_count", "val_count_per_class",
+                                "test_count_per_class", "trans_locations_per_class",
+                                "gap_condition")),
+    (">= 0", lambda v: v >= 0, ("synthetic_pool_size", "noise_scale", "class_mean_scale",
+                                "location_jitter", "gap_noise_factor")),
+)
 
 
 @dataclass(frozen=True)
@@ -89,15 +101,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_field_types(self)
-        for name, low in (("class_count", 2), ("feature_dim", 2), ("max_train_count", 1),
-                          ("rare_train_count", 1), ("val_count_per_class", 1),
-                          ("test_count_per_class", 1), ("trans_locations_per_class", 1),
-                          ("synthetic_pool_size", 0), ("noise_scale", 0),
-                          ("class_mean_scale", 0), ("location_jitter", 0),
-                          ("gap_condition", 1), ("gap_noise_factor", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        require_fields(self, _GEN_SPEC_RULES)
         if not 0 <= self.rare_class_id < self.class_count:
             raise ValueError(f"rare_class_id {self.rare_class_id} out of range")
         if self.locations_per_class - self.trans_locations_per_class < 1:
@@ -151,8 +155,9 @@ class Dataset:
 
     The arrays are validated once, when the Dataset is built, and are then
     trusted: training and evaluation do not rescan them. A Dataset is meant
-    to be read, not edited; ``real_split_indices`` is computed on first use
-    and not updated if ``splits`` or ``domains`` change later.
+    to be read, not edited; ``real_split_indices`` and ``synthetic_indices``
+    are computed on first use and not updated if ``splits`` or ``domains``
+    change later.
     """
 
     features: np.ndarray
@@ -248,27 +253,21 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def indices(self, split: str | None = None, domain: str | None = None) -> np.ndarray:
-        mask = np.ones(len(self), dtype=bool)
-        if split is not None:
-            mask &= self.splits == split
-        if domain is not None:
-            mask &= self.domains == domain
-        return np.flatnonzero(mask)
-
     @cached_property
     def real_split_indices(self) -> dict[str, np.ndarray]:
         """Read-only indices of the real samples of each split, computed once."""
-        out = {split: self.indices(split=split, domain="real") for split in SPLITS}
+        real = self.domains == "real"
+        out = {split: np.flatnonzero(real & (self.splits == split)) for split in SPLITS}
         for idx in out.values():
             idx.flags.writeable = False
         return out
 
-    def train_real_indices(self) -> np.ndarray:
-        return self.indices(split="train", domain="real")
-
-    def synthetic_pool_indices(self) -> np.ndarray:
-        return self.indices(domain="synthetic")
+    @cached_property
+    def synthetic_indices(self) -> np.ndarray:
+        """Read-only indices of the synthetic pool, computed once."""
+        idx = np.flatnonzero(self.domains == "synthetic")
+        idx.flags.writeable = False
+        return idx
 
 
 def synthetic_map(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, float]:
@@ -384,11 +383,11 @@ def generate(spec: GenSpec) -> Dataset:
     )
 
 
-def class_histogram(dataset: Dataset, split: str, domain: str | None = "real") -> np.ndarray:
-    """Per-class sample counts for a split (real samples by default)."""
+def class_histogram(dataset: Dataset, split: str) -> np.ndarray:
+    """Per-class counts of the real samples of a split."""
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
-    idx = dataset.indices(split=split, domain=domain)
+    idx = dataset.real_split_indices[split]
     return np.bincount(dataset.class_ids[idx], minlength=dataset.num_classes)
 
 
@@ -413,6 +412,10 @@ def load_csv(path) -> Dataset:
     feature block with the same correctly rounded conversion as ``float()``.
     Feature values follow ``float()``'s grammar minus underscores (``1_0`` is
     rejected) and non-ASCII digits, neither of which ``save_csv`` writes.
+
+    The class count is the largest ``class_id`` plus one, so an id outside
+    int64, or a class_id no smaller than the row count (every class needs a
+    real train row), is rejected before anything per class is built.
 
     Errors carry 1-based line numbers; a bad feature value is reported in
     ``float()``'s words (found by a second scan, on that error path only). A
@@ -445,14 +448,25 @@ def load_csv(path) -> Dataset:
             _raise_first_bad_feature(path, d)
             raise DataFormatError(f"{path}: {exc}") from exc
     classes, domains, locations, splits = meta
-    class_ids = np.array(classes, dtype=np.int64)
-    k = int(class_ids.max()) + 1
+    try:
+        class_ids = np.array(classes, dtype=np.int64)
+        location_ids = np.array(locations, dtype=np.int64)
+    except OverflowError:
+        _raise_first_outsized_id(path, classes, locations)
+        raise
+    top = int(np.argmax(class_ids))
+    if class_ids[top] >= len(class_ids):
+        raise DataFormatError(
+            f"{path}: line {top + 2}: class_id {class_ids[top]} is not below the number of "
+            f"data rows ({len(class_ids)}); every class needs a real train row"
+        )
+    k = int(class_ids[top]) + 1
     try:
         return Dataset(
             features=feats,
             class_ids=class_ids,
             domains=np.array(domains),
-            location_ids=np.array(locations, dtype=np.int64),
+            location_ids=location_ids,
             splits=np.array(splits),
             class_names=[f"class{i}" for i in range(k)],
         )
@@ -490,6 +504,15 @@ def _feature_lines(lines, path, d: int, meta: tuple[list, list, list, list]):
         domains.append(domain)
         splits.append(split)
         yield features
+
+
+def _raise_first_outsized_id(path, classes: list[int], locations: list[int]) -> None:
+    """Raise for the first line whose class_id or location_id lies outside int64."""
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    for line_no, ids in enumerate(zip(classes, locations), start=2):
+        for name, value in zip(("class_id", "location_id"), ids):
+            if not lo <= value <= hi:
+                raise DataFormatError(f"{path}: line {line_no}: {name} {value} is outside int64")
 
 
 def _raise_first_bad_feature(path, d: int) -> None:

@@ -83,8 +83,8 @@ def build_domains(
     if oversample_factor < 1:
         raise ValueError(f"oversample_factor must be >= 1, got {oversample_factor}")
     rare = dataset.rare_class_id if rare_class_id is None else rare_class_id
-    train = dataset.train_real_indices()
-    pool = dataset.synthetic_pool_indices()
+    train = dataset.real_split_indices["train"]
+    pool = dataset.synthetic_indices
     if synthetic_count < 0:
         raise ValueError(f"synthetic_count must be >= 0, got {synthetic_count}")
     if synthetic_count > len(pool):

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _softmax
+from .numerics import softmax
 
 DOMAIN_SOURCE = 0
 DOMAIN_TARGET = 1
@@ -58,7 +58,7 @@ def cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> LossValue:
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range [0, {k}): {labels[(labels < 0) | (labels >= k)][0]}")
-    probs = _softmax(logits)
+    probs = softmax(logits)
     rows = np.arange(n)
     # true-class probability can underflow to exactly 0 for huge margins; the
     # resulting inf loss is the caller's divergence signal, not an error here

@@ -1,17 +1,16 @@
-"""Dense float64 matrix helpers and seeded RNG streams.
+"""Dense float64 matrix helpers, config-field checks and seeded RNG streams.
 
 Every matrix in this package is a plain 2-D ``numpy.ndarray`` with dtype
-float64 in row-major order. :func:`as_matrix`, :func:`require_finite` and
-:func:`require_field_types` are the validation helpers, and they run at the
-boundaries, not inside the training step: a ``Dataset`` checks its features
-when it is built, ``GenSpec`` and ``TrainConfig`` their fields, ``train`` the
-labels once on entry, and ``evaluate`` its logits. The step itself runs on
+float64 in row-major order. :func:`require_finite` and :func:`require_fields`
+are the validation helpers, and they run at the boundaries, not inside the
+training step: a ``Dataset`` checks its features when it is built, ``GenSpec``
+and ``TrainConfig`` their fields (each through one table of rules), ``train``
+the labels once on entry, and ``evaluate`` its logits. The step itself runs on
 arrays it made from those, so a NaN or Inf that arises inside it (overflow, a
 corrupted input row) surfaces through the step's two whole-value checks: the
 composite loss and the optimizer's gradient check (see
-:mod:`raredapt.training`).
-:func:`softmax_rows` validates its input for outside callers; the
-cross-entropy loss uses the unchecked :func:`_softmax` core.
+:mod:`raredapt.training`). :func:`softmax` is unchecked for the same reason:
+its one caller, the cross-entropy loss, feeds it logits the network made.
 
 Randomness goes through :func:`make_rng`, which builds a PCG64 generator from
 an integer seed plus optional integer stream keys. PCG64 is a documented fixed
@@ -49,14 +48,6 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def as_matrix(arr, what: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting other ranks."""
-    out = np.asarray(arr, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{what} must be 2-D, got shape {out.shape}")
-    return out
-
-
 def _fits(value, hint) -> bool:
     if hint in (int, float):
         kind = numbers.Integral if hint is int else numbers.Real
@@ -69,42 +60,37 @@ def _fits(value, hint) -> bool:
     return True
 
 
-def require_field_types(obj) -> None:
-    """Raise one ValueError naming each field of dataclass ``obj`` whose value
-    does not fit its annotation: an integer for int, a real number for float
-    (JSON writes ``1`` for ``1.0``), never a bool; each element for
-    ``tuple[X, ...]``; also None for ``X | None``. Other annotations pass.
-    Then raise one naming each field that holds a NaN or an infinity."""
+def require_fields(obj, rules) -> None:
+    """Check the fields of dataclass ``obj`` in three stages, each raising one
+    ValueError that names every bad field it finds. Types: each value fits its
+    annotation: an integer for int, a real number for float (JSON writes ``1``
+    for ``1.0``), never a bool; each element for ``tuple[X, ...]``; also None
+    for ``X | None``; other annotations pass. Then no NaN or infinity. Then
+    each ``(text, ok, names)`` rule: ``ok(value)`` for every field in
+    ``names``, or ``<name> must be <text>, got <value!r>``."""
     cls = type(obj)
-    wrong = [
-        f"{name} must be {cls.__annotations__[name]}, got {getattr(obj, name)!r}"
-        for name, hint in _type_hints(cls).items()
-        if not _fits(getattr(obj, name), hint)
-    ]
+    hints = _type_hints(cls)
+    wrong = [f"{name} must be {cls.__annotations__[name]}, got {getattr(obj, name)!r}"
+             for name, hint in hints.items() if not _fits(getattr(obj, name), hint)]
     if wrong:
         raise ValueError("; ".join(wrong))
-    non_finite = [name for name in _type_hints(cls)
+    non_finite = [name for name in hints
                   if isinstance(v := getattr(obj, name), numbers.Real) and not math.isfinite(v)]
     if non_finite:
         raise ValueError(f"{', '.join(non_finite)} must be finite")
+    out_of_range = [f"{name} must be {text}, got {getattr(obj, name)!r}"
+                    for text, ok, names in rules for name in names if not ok(getattr(obj, name))]
+    if out_of_range:
+        raise ValueError("; ".join(out_of_range))
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's maximum.
 
     Rows of the result are positive and sum to 1 (within 1e-9); the output is
-    invariant under adding a constant to a row.
+    invariant under adding a constant to a row. The input is not checked: it
+    must be a finite 2-D float array.
     """
-    logits = as_matrix(logits, "logits")
-    n, k = logits.shape
-    if n < 1 or k < 2:
-        raise ValueError(f"softmax_rows needs n >= 1 and K >= 2, got shape {logits.shape}")
-    require_finite(logits, "softmax input")
-    return _softmax(logits)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """:func:`softmax_rows` without its checks, for logits the network made."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)

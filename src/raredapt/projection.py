@@ -33,9 +33,7 @@ class ProjectedFeatures:
     domains: np.ndarray
     splits: np.ndarray
     correct: np.ndarray
-    components: np.ndarray
     explained_variances: np.ndarray
-    mean: np.ndarray
 
 
 def pca_fit(data: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,9 +89,7 @@ def project_features(
         domains=dataset.domains[indices].copy(),
         splits=dataset.splits[indices].copy(),
         correct=correct,
-        components=components,
         explained_variances=variances,
-        mean=mean,
     )
 
 
@@ -177,9 +173,7 @@ def _two_means(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return labels
 
 
-def bimodality_score(
-    proj: ProjectedFeatures, rare_class_id: int, seed: int = 0
-) -> float:
+def bimodality_score(proj: ProjectedFeatures, rare_class_id: int) -> float:
     """Domain separability of the rare class in the projected plane.
 
     Balanced accuracy of a 2-means split against the real/synthetic labels,
@@ -194,7 +188,7 @@ def bimodality_score(
         present = "synthetic" if is_synth.any() else "real"
         raise ValueError(f"rare class has only {present} samples; need both domains")
     points = proj.coords[rare_rows][:, :2]
-    labels = _two_means(points, make_rng(seed, _KMEANS_STREAM))
+    labels = _two_means(points, make_rng(0, _KMEANS_STREAM))
     best = 0.0
     for synth_cluster in (0, 1):
         tpr = float(np.mean(labels[is_synth] == synth_cluster))

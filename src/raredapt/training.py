@@ -35,10 +35,13 @@ from .domains import METHODS, BatchPair, build_domains, paired_sampler
 from .losses import DOMAIN_SOURCE, DOMAIN_TARGET, coral_loss, cross_entropy, domain_confusion
 from .metrics import RunMetrics, evaluate
 from .network import Network, default_network_spec, grl_backward
-from .numerics import make_rng, require_field_types
+from .numerics import make_rng, require_fields
 
 _INIT_STREAM = 20
 _JITTER_STREAM = 21
+
+CORAL_LAYERS = ("logits", "features")
+DISCRIMINATOR_LABELS = ("membership", "provenance")
 
 
 class TrainingDiverged(RuntimeError):
@@ -63,6 +66,24 @@ def select_epoch(
     ranked = rare[eligible]
     ranked = np.where(np.isnan(ranked), -np.inf, ranked)
     return int(eligible[np.argmax(ranked)])
+
+
+_TRAIN_CONFIG_RULES = (
+    (">= 1", lambda v: v >= 1, ("epochs", "oversample_factor")),
+    (">= 2", lambda v: v >= 2, ("batch_size",)),
+    ("> 0", lambda v: v > 0, ("learning_rate", "head_lr_multiplier", "adam_eps")),
+    (">= 0", lambda v: v >= 0, ("l2", "coral_weight", "domain_weight", "grl_scale",
+                                "grl_ramp_epochs", "synthetic_count", "feature_jitter",
+                                "selection_tolerance_points", "seed")),
+    ("in [0, 1)", lambda v: 0 <= v < 1, ("beta1", "beta2")),
+    ("None or >= 0", lambda v: v is None or v >= 0, ("rare_class_id",)),
+    ("non-empty", bool, ("feature_dims",)),
+    ("all >= 1", lambda v: min(v, default=1) >= 1,
+     ("feature_dims", "classifier_hidden", "discriminator_hidden")),
+    (" or ".join(map(repr, CORAL_LAYERS)), lambda v: v in CORAL_LAYERS, ("coral_layer",)),
+    (" or ".join(map(repr, DISCRIMINATOR_LABELS)), lambda v: v in DISCRIMINATOR_LABELS,
+     ("discriminator_labels",)),
+)
 
 
 @dataclass(frozen=True)
@@ -95,37 +116,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_field_types(self)
+        require_fields(self, _TRAIN_CONFIG_RULES)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        rules = (
-            (">= 1", lambda v: v >= 1, ("epochs", "oversample_factor")),
-            (">= 2", lambda v: v >= 2, ("batch_size",)),
-            ("> 0", lambda v: v > 0, ("learning_rate", "head_lr_multiplier", "adam_eps")),
-            (">= 0", lambda v: v >= 0, ("l2", "coral_weight", "domain_weight", "grl_scale",
-                                        "grl_ramp_epochs", "synthetic_count", "feature_jitter",
-                                        "selection_tolerance_points", "seed")),
-            ("in [0, 1)", lambda v: 0 <= v < 1, ("beta1", "beta2")),
-            ("None or >= 0", lambda v: v is None or v >= 0, ("rare_class_id",)),
-            ("non-empty", bool, ("feature_dims",)),
-            ("all >= 1", lambda v: min(v, default=1) >= 1,
-             ("feature_dims", "classifier_hidden", "discriminator_hidden")),
-        )
-        out_of_range = [
-            f"{name} must be {rule}, got {getattr(self, name)!r}"
-            for rule, ok, names in rules
-            for name in names
-            if not ok(getattr(self, name))
-        ]
-        if out_of_range:
-            raise ValueError("; ".join(out_of_range))
-        if self.coral_layer not in ("logits", "features"):
-            raise ValueError(f"coral_layer must be 'logits' or 'features', got {self.coral_layer!r}")
-        if self.discriminator_labels not in ("membership", "provenance"):
-            raise ValueError(
-                "discriminator_labels must be 'membership' or 'provenance', "
-                f"got {self.discriminator_labels!r}"
-            )
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)

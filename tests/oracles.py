@@ -10,8 +10,6 @@ from typing import Callable
 
 import numpy as np
 
-from raredapt.numerics import as_matrix
-
 
 def finite_diff_grad(
     f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-4
@@ -24,7 +22,7 @@ def finite_diff_grad(
     """
     if h <= 0:
         raise ValueError(f"step size h must be positive, got {h}")
-    x = as_matrix(x, "finite_diff_grad input")
+    x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     for _ in it:

@@ -79,7 +79,7 @@ def test_traced_table_run_produces_every_step_metric(tracing, tiny_dataset, tmp_
     # forward_features pass per split, epoch and method
     runs = len(catalogue.METHODS)  # one epoch each
     assert metrics["metrics.evaluate.calls"] == len(SPLITS) * runs
-    real_rows = sum(tiny_dataset.indices(split=s, domain="real").size for s in SPLITS)
+    real_rows = sum(tiny_dataset.real_split_indices[s].size for s in SPLITS)
     assert metrics["metrics.evaluate.rows"] == real_rows * runs
     assert metrics["domains.paired_sampler.batches"] == metrics["training.adam_step.calls"]
     train_ns = sum(span[3] for span in tracer.spans if span[0] == "training.train")

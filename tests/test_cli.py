@@ -9,11 +9,12 @@ import pytest
 
 from raredapt import cli, save_checkpoint
 from raredapt.checkpoint import MAGIC
-from raredapt.training import TrainingDiverged
+from raredapt.training import CORAL_LAYERS, DISCRIMINATOR_LABELS, TrainConfig, TrainingDiverged
 from raredapt.cli import main
 
 from conftest import tiny_gen_spec
 from test_checkpoint import make_checkpoint, rewrite_header
+from test_data import OUTSIZED_IDS, _write_tiny_with_cell
 
 
 def write_tiny_csv(tmp_path):
@@ -247,6 +248,18 @@ def test_train_checks_the_config_before_reading_the_csv(tmp_path, capsys):
     assert not run.exists()
 
 
+@pytest.mark.parametrize("column, cell, reason", OUTSIZED_IDS)
+def test_train_on_an_outsized_id_is_one_error_line(tmp_path, capsys, column, cell, reason):
+    data = tmp_path / "outsized.csv"
+    _write_tiny_with_cell(data, column, cell)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
+                 "--epochs", "1", "--synthetic-count", "0"]) == 1
+    assert capsys.readouterr().err == f"error: {data}: line 7: {reason}\n"
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("content, message", [
     ("{not json", "cannot read config {path}: Expecting property name"),
     ("[1, 2]", "config {path} must be a JSON object"),
@@ -311,12 +324,26 @@ def test_train_flags_override_config_file_fields(tmp_path):
         "train", "--data", "d.csv", "--method", "deerdann", "--out", "run",
         "--config", str(config), "--lr", "0.01", "--selection-tolerance", "2",
     ])
-    resolved = cli._build_train_config(args)
+    resolved = cli._build_config(TrainConfig, args.config, args, "train config")
     assert resolved.learning_rate == 0.01  # the flag wins over the file
     assert resolved.selection_tolerance_points == 2.0
     assert resolved.discriminator_labels == "provenance"  # the file wins over the default
     assert resolved.feature_dims == (6, 4)
     assert resolved.method == "deerdann" and resolved.epochs == 100
+
+
+@pytest.mark.parametrize("flag, field, choices", [
+    ("--coral-layer", "coral_layer", CORAL_LAYERS),
+    ("--disc-labels", "discriminator_labels", DISCRIMINATOR_LABELS),
+])
+def test_choice_flags_offer_exactly_the_config_values(capsys, flag, field, choices):
+    argv = ["train", "--data", "d.csv", "--method", "deercoral", "--out", "run", flag]
+    for choice in choices:
+        args = cli.build_parser().parse_args(argv + [choice])
+        assert getattr(cli._build_config(TrainConfig, None, args, "train config"), field) == choice
+    err = usage_error(argv + ["bogus"], capsys)
+    offered = err[err.index("(choose from ") + len("(choose from "):err.rindex(")")]
+    assert [c.strip("'") for c in offered.split(", ")] == list(choices)
 
 
 def test_gen_data_scalar_gap_matrix_is_a_clean_error(tmp_path, capsys):

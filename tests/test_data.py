@@ -37,7 +37,7 @@ def test_generated_counts_match_spec_exactly():
         assert np.array_equal(class_histogram(ds, split), [spec.val_count_per_class] * k)
     for split in ("cis_test", "trans_test"):
         assert np.array_equal(class_histogram(ds, split), [spec.test_count_per_class] * k)
-    assert len(ds.synthetic_pool_indices()) == spec.synthetic_pool_size
+    assert len(ds.synthetic_indices) == spec.synthetic_pool_size
 
 
 def test_spec_rejects_untrainable_split_sizes_and_wrong_types():
@@ -49,6 +49,14 @@ def test_spec_rejects_untrainable_split_sizes_and_wrong_types():
         with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {value}$"):
             tiny_gen_spec(**{name: value})
     tiny_gen_spec(val_count_per_class=1, test_count_per_class=1)
+    # every out-of-range field is named in one error
+    with pytest.raises(ValueError) as info:
+        tiny_gen_spec(noise_scale=-1.0, val_count_per_class=0, class_count=1)
+    assert str(info.value).split("; ") == [
+        "class_count must be >= 2, got 1",
+        "val_count_per_class must be >= 1, got 0",
+        "noise_scale must be >= 0, got -1.0",
+    ]
     with pytest.raises(ValueError) as info:
         tiny_gen_spec(synthetic_pool_size=10.0, train_counts=(120, 90, 60.5, 41),
                       class_mean_scale="1", seed=True)
@@ -64,9 +72,23 @@ def test_spec_rejects_untrainable_split_sizes_and_wrong_types():
 def test_histogram_sums_and_empty_selection():
     ds = generate(tiny_gen_spec())
     hist = class_histogram(ds, "train")
-    assert hist.sum() == len(ds.indices(split="train", domain="real"))
+    assert hist.sum() == np.count_nonzero((ds.splits == "train") & (ds.domains == "real"))
     # synthetic samples never appear outside the train split
-    assert class_histogram(ds, "cis_val", domain="synthetic").sum() == 0
+    assert not np.any((ds.splits != "train") & (ds.domains == "synthetic"))
+
+
+def test_row_selectors_are_read_only_and_cover_every_row_once():
+    ds = generate(tiny_gen_spec())
+    selected = [*ds.real_split_indices.values(), ds.synthetic_indices]
+    assert np.array_equal(np.sort(np.concatenate(selected)), np.arange(len(ds)))
+    for idx in selected:
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0] = 0
+    assert ds.synthetic_indices is ds.synthetic_indices  # cached, not recomputed
+    assert np.all(ds.domains[ds.synthetic_indices] == "synthetic")
+    for split, idx in ds.real_split_indices.items():
+        assert np.all(ds.splits[idx] == split) and np.all(ds.domains[idx] == "real")
 
 
 def test_generation_deterministic():
@@ -79,16 +101,15 @@ def test_generation_deterministic():
 
 def test_trans_locations_disjoint_from_train_and_cis():
     ds = generate(tiny_gen_spec())
-    seen = set(ds.location_ids[ds.indices(split="train", domain="real")])
-    seen |= set(ds.location_ids[ds.indices(split="cis_val")])
-    seen |= set(ds.location_ids[ds.indices(split="cis_test")])
+    idx = ds.real_split_indices
+    seen = set(ds.location_ids[np.concatenate([idx["train"], idx["cis_val"], idx["cis_test"]])])
     for split in ("trans_val", "trans_test"):
-        assert not (set(ds.location_ids[ds.indices(split=split)]) & seen)
+        assert not (set(ds.location_ids[ds.splits == split]) & seen)
 
 
 def test_synthetic_pool_invariants():
     ds = generate(tiny_gen_spec())
-    pool = ds.synthetic_pool_indices()
+    pool = ds.synthetic_indices
     assert np.all(ds.class_ids[pool] == ds.rare_class_id)
     assert np.all(ds.splits[pool] == "train")
     assert np.all(ds.location_ids[pool] == -1)
@@ -126,9 +147,9 @@ def test_zero_gap_populations_statistically_identical():
             seed=seed,
         )
         ds = generate(spec)
-        train = ds.train_real_indices()
+        train = ds.real_split_indices["train"]
         real = ds.features[train[ds.class_ids[train] == 3]]
-        synth = ds.features[ds.synthetic_pool_indices()]
+        synth = ds.features[ds.synthetic_indices]
         delta = real.mean(axis=0) - synth.mean(axis=0)
         var = real.var(axis=0, ddof=1) / len(real) + synth.var(axis=0, ddof=1) / len(synth)
         z = np.linalg.norm(delta) / np.sqrt(var.sum())
@@ -237,6 +258,15 @@ EDGE_DOUBLES = [-0.0, 5e-324, 1e16, np.finfo(np.float64).max, -np.finfo(np.float
                 2.2250738585072014e-308, 0.1, -1e-300, 9007199254740993.0, 1.0, 0.0]
 
 
+def _write_tiny_with_cell(path, column, cell):
+    """Write ``_tiny_rows()`` with one cell of file line 7 replaced."""
+    rows = _tiny_rows()
+    cells = rows[5].split(",")
+    cells[column] = cell
+    rows[5] = ",".join(cells)
+    _write_rows(path, TINY_HEADER, rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(FINITE_DOUBLES, min_size=22, max_size=22))  # _tiny_rows(): 11 x 2
 @example(values=EDGE_DOUBLES * 2)
@@ -262,12 +292,29 @@ def test_csv_round_trips_any_finite_double_bit_for_bit(tmp_path_factory, values)
     (4, "1.5", "invalid literal for int() with base 10: '1.5'"),
 ])
 def test_csv_bad_cell_on_a_later_line_names_that_line(tmp_path, column, cell, reason):
-    rows = _tiny_rows()
-    cells = rows[5].split(",")
-    cells[column] = cell
-    rows[5] = ",".join(cells)
     path = tmp_path / "bad.csv"
-    _write_rows(path, TINY_HEADER, rows)
+    _write_tiny_with_cell(path, column, cell)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: line 7: {reason}')}$"):
+        load_csv(path)
+
+
+OUTSIZED_IDS = [
+    (2, "11", "class_id 11 is not below the number of data rows (11); "
+              "every class needs a real train row"),
+    (2, "1000000", "class_id 1000000 is not below the number of data rows (11); "
+                   "every class needs a real train row"),
+    (2, str(2**63), f"class_id {2**63} is outside int64"),
+    (4, str(2**63), f"location_id {2**63} is outside int64"),
+    (4, str(-2**63 - 1), f"location_id {-2**63 - 1} is outside int64"),
+]
+
+
+@pytest.mark.parametrize("column, cell, reason", OUTSIZED_IDS)
+def test_csv_outsized_id_is_rejected_before_classes_are_built(tmp_path, column, cell, reason):
+    # the class count is the largest class_id + 1, so an outsized id must fail
+    # before anything per class is allocated
+    path = tmp_path / "outsized.csv"
+    _write_tiny_with_cell(path, column, cell)
     with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: line 7: {reason}')}$"):
         load_csv(path)
 

@@ -13,7 +13,7 @@ def test_deerdann_target_size_is_2050_for_41_rare(tiny_dataset):
 
 
 def test_source_size_is_train_plus_synthetic_for_all_methods(tiny_dataset):
-    n_train = tiny_dataset.train_real_indices().size
+    n_train = tiny_dataset.real_split_indices["train"].size
     for method in METHODS:
         for n_syn in (0, 37, 250):
             org = build_domains(tiny_dataset, method, synthetic_count=n_syn)
@@ -21,7 +21,7 @@ def test_source_size_is_train_plus_synthetic_for_all_methods(tiny_dataset):
 
 
 def test_target_compositions(tiny_dataset):
-    n_train = tiny_dataset.train_real_indices().size
+    n_train = tiny_dataset.real_split_indices["train"].size
     base = build_domains(tiny_dataset, "baseline", synthetic_count=10)
     assert base.target_indices.size == 0
     for method in ("deercoral", "alldann"):
@@ -39,7 +39,7 @@ def test_oversampling_is_verbatim_multiplicity(tiny_dataset):
     org = build_domains(tiny_dataset, "deerdann", synthetic_count=0, oversample_factor=7)
     rare_train = [
         i
-        for i in tiny_dataset.train_real_indices()
+        for i in tiny_dataset.real_split_indices["train"]
         if tiny_dataset.class_ids[i] == org.rare_class_id
     ]
     counts = {i: 0 for i in rare_train}
@@ -54,7 +54,7 @@ def test_synthetic_subset_deterministic_and_bounded(tiny_dataset):
     c = build_domains(tiny_dataset, "deerdann", synthetic_count=50, seed=4)
     assert np.array_equal(a.source_indices, b.source_indices)
     assert not np.array_equal(a.source_indices, c.source_indices)
-    pool = tiny_dataset.synthetic_pool_indices().size
+    pool = tiny_dataset.synthetic_indices.size
     with pytest.raises(ValueError, match="pool"):
         build_domains(tiny_dataset, "deerdann", synthetic_count=pool + 1)
 

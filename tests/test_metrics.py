@@ -69,7 +69,7 @@ def test_confusion_trace_equals_overall():
     assert m.overall == np.trace(m.confusion) / m.confusion.sum()
     assert np.array_equal(m.confusion.sum(axis=1), [4, 3, 2])
     # reference: count (truth, prediction) pairs one row at a time
-    idx = ds.indices(split="trans_test", domain="real")
+    idx = ds.real_split_indices["trans_test"]
     logits, _ = net.forward_classifier(net.forward_features(ds.features[idx])[0])
     expected = np.zeros((3, 3), dtype=np.int64)
     for truth, pred in zip(ds.class_ids[idx], np.argmax(logits, axis=1)):

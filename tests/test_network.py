@@ -7,7 +7,6 @@ from raredapt import (
     cross_entropy,
     grl_backward,
     make_rng,
-    softmax_rows,
 )
 from raredapt.network import Layer, MlpSpec, NetworkSpec, default_network_spec
 from raredapt.training import _Totals, _train_batch
@@ -116,8 +115,8 @@ def manual_classifier_grads(net, x, labels):
         acts.append(np.maximum(z, 0.0))
     c = net.parts["classifier"][0]
     logits = acts[-1] @ c.w + c.b
-    probs = softmax_rows(logits)
-    g = probs.copy()
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    g = exp / exp.sum(axis=1, keepdims=True)
     g[np.arange(len(labels)), labels] -= 1.0
     g /= len(labels)
     grads = {"classifier.0.w": acts[-1].T @ g, "classifier.0.b": g.sum(axis=0)}

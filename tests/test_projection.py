@@ -45,9 +45,7 @@ def projected(coords, class_ids, domains, splits=None, correct=None) -> Projecte
         domains=np.asarray(domains),
         splits=np.asarray(splits if splits is not None else ["trans_test"] * n),
         correct=np.asarray(correct if correct is not None else [True] * n),
-        components=np.eye(2),
         explained_variances=np.ones(2),
-        mean=np.zeros(2),
     )
 
 

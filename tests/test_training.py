@@ -204,7 +204,7 @@ def test_train_forced_divergence_names_epoch_and_batch(tiny_dataset):
 
 def test_train_mislabelled_batch_raises_plain_value_error():
     dataset = generate(tiny_gen_spec())
-    dataset.class_ids[dataset.train_real_indices()[0]] = dataset.num_classes  # out of range
+    dataset.class_ids[dataset.real_split_indices["train"][0]] = dataset.num_classes  # out of range
     cfg = TrainConfig(method="baseline", epochs=1, synthetic_count=0, batch_size=32)
     with pytest.raises(ValueError, match="label out of range") as info:
         train(dataset, cfg)
@@ -216,7 +216,7 @@ def test_train_nan_feature_written_after_build_diverges_in_epoch_0(method):
     # the Dataset checked its features when it was built; the step trusts
     # them, and the composite-loss check still catches the corrupted row
     dataset = generate(tiny_gen_spec())
-    dataset.features[dataset.train_real_indices()[0], 0] = np.nan
+    dataset.features[dataset.real_split_indices["train"][0], 0] = np.nan
     cfg = TrainConfig(method=method, epochs=2, synthetic_count=40, batch_size=32)
     with pytest.raises(TrainingDiverged, match=r"aborted at epoch 0 batch \d+: non-finite loss"):
         train(dataset, cfg)
