@@ -10,9 +10,10 @@ chosen synthetic rare-class samples. The target set T depends on the method:
     deercoral  T = train + oversampled real rare samples
 
 T never contains synthetic samples, and oversampling is index multiplicity,
-not data duplication. The routing rule picks which rows of a batch reach the
-discriminator: rare-class rows for the deer-specific methods, every row for
-alldann.
+not data duplication. A batch pair is dataset row indices; the step gathers
+the rows it reads. The routing rule picks which rows of a batch reach the
+discriminator, so only the adversarial methods route any: rare-class rows for
+deerdann, every row for alldann. The baseline and deercoral route none.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .data import Dataset
 from .numerics import make_rng
 
 METHODS = ("baseline", "deerdann", "alldann", "deercoral")
+ADVERSARIAL = ("deerdann", "alldann")
 
 _SRC_STREAM = 10
 _TGT_STREAM = 11
@@ -42,25 +44,14 @@ class DomainOrg:
     rare_class_id: int
     dataset: Dataset = field(repr=False)
 
-    @property
-    def needs_target(self) -> bool:
-        return self.method != "baseline"
-
-
-@dataclass
-class SideBatch:
-    """One side of a batch pair, gathered from the dataset."""
-
-    features: np.ndarray
-    class_ids: np.ndarray
-    domains: np.ndarray
-    indices: np.ndarray
-
 
 @dataclass
 class BatchPair:
-    source: SideBatch
-    target: SideBatch | None
+    """One step's dataset row indices, and the positions within each batch
+    that reach the discriminator. ``target`` is None for the baseline."""
+
+    source: np.ndarray
+    target: np.ndarray | None
     routed_source_rows: np.ndarray
     routed_target_rows: np.ndarray
 
@@ -117,8 +108,8 @@ def build_domains(
 def route_delta(class_ids: np.ndarray, method: str, rare_class_id: int) -> np.ndarray:
     """Rows whose features reach the discriminator.
 
-    Deer-specific methods select rare-class rows; alldann selects every row;
-    the baseline routes nothing (it has no adversarial term). The rows come
+    deerdann selects rare-class rows and alldann every row; the baseline and
+    deercoral route nothing (they have no adversarial term). The rows come
     sorted and unique, so the training step can add their gradients back with
     one fancy-index add.
     """
@@ -127,18 +118,9 @@ def route_delta(class_ids: np.ndarray, method: str, rare_class_id: int) -> np.nd
     class_ids = np.asarray(class_ids)
     if method == "alldann":
         return np.arange(class_ids.shape[0])
-    if method == "baseline":
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(class_ids == rare_class_id)
-
-
-def _gather(dataset: Dataset, idx: np.ndarray) -> SideBatch:
-    return SideBatch(
-        features=dataset.features[idx],
-        class_ids=dataset.class_ids[idx],
-        domains=dataset.domains[idx],
-        indices=idx,
-    )
+    if method == "deerdann":
+        return np.flatnonzero(class_ids == rare_class_id)
+    return np.empty(0, dtype=np.int64)
 
 
 def paired_sampler(
@@ -155,27 +137,21 @@ def paired_sampler(
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
-    if org.needs_target and org.target_indices.size == 0:
+    has_target = org.method != "baseline"
+    if has_target and org.target_indices.size == 0:
         raise ValueError(f"method {org.method!r} requires a non-empty target set")
     src_perm = make_rng(seed, _SRC_STREAM, epoch).permutation(org.source_indices)
     target_seq = None
-    if org.needs_target:
+    if has_target:
         tgt_rng = make_rng(seed, _TGT_STREAM, epoch)
         passes = range(1 + src_perm.size // org.target_indices.size)
         target_seq = np.concatenate([tgt_rng.permutation(org.target_indices) for _ in passes])
+    classes, method, rare = org.dataset.class_ids, org.method, org.rare_class_id
+    none = np.empty(0, dtype=np.int64)
     for start in range(0, src_perm.size, batch_size):
-        chunk = src_perm[start : start + batch_size]
-        if chunk.size < 2:
+        source = src_perm[start : start + batch_size]
+        if source.size < 2:
             continue
-        source = _gather(org.dataset, chunk)
-        target = None
-        routed_tgt = np.empty(0, dtype=np.int64)
-        if target_seq is not None:
-            target = _gather(org.dataset, target_seq[start : start + chunk.size])
-            routed_tgt = route_delta(target.class_ids, org.method, org.rare_class_id)
-        yield BatchPair(
-            source=source,
-            target=target,
-            routed_source_rows=route_delta(source.class_ids, org.method, org.rare_class_id),
-            routed_target_rows=routed_tgt,
-        )
+        target = None if target_seq is None else target_seq[start : start + source.size]
+        routed_tgt = none if target is None else route_delta(classes[target], method, rare)
+        yield BatchPair(source, target, route_delta(classes[source], method, rare), routed_tgt)

@@ -148,6 +148,13 @@ class PartTrace:
         return self.act[-1]
 
 
+def _activates_last(part: str) -> bool:
+    """The one activation rule of forward and backward: the extractor applies
+    the activation after its last layer too, so features are post-activation;
+    the two heads emit raw logits. Every hidden layer is activated."""
+    return part == "extractor"
+
+
 def grl_backward(upstream: np.ndarray, scale: float) -> np.ndarray:
     """Gradient reversal layer backward pass: exactly -scale * upstream."""
     if scale < 0:
@@ -200,13 +207,14 @@ class Network:
 
     # -- forward ---------------------------------------------------------
 
-    def _forward_part(self, name: str, x: np.ndarray, activate_last: bool) -> PartTrace:
+    def _forward_part(self, name: str, x: np.ndarray) -> PartTrace:
         part_spec: MlpSpec = getattr(self.spec, name)
         if x.ndim != 2 or x.shape[1] != part_spec.input_dim:
             raise ValueError(
                 f"{name} expects input dim {part_spec.input_dim}, got shape {x.shape}"
             )
         layers = self.parts[name]
+        activate_last = _activates_last(name)
         pre, act = [], []
         a = x
         for i, layer in enumerate(layers):
@@ -220,15 +228,15 @@ class Network:
         return PartTrace(x=x, pre=pre, act=act)
 
     def forward_features(self, x: np.ndarray) -> tuple[np.ndarray, PartTrace]:
-        trace = self._forward_part("extractor", x, activate_last=True)
+        trace = self._forward_part("extractor", x)
         return trace.output, trace
 
     def forward_classifier(self, features: np.ndarray) -> tuple[np.ndarray, PartTrace]:
-        trace = self._forward_part("classifier", features, activate_last=False)
+        trace = self._forward_part("classifier", features)
         return trace.output, trace
 
     def forward_discriminator(self, features: np.ndarray) -> tuple[np.ndarray, PartTrace]:
-        trace = self._forward_part("discriminator", features, activate_last=False)
+        trace = self._forward_part("discriminator", features)
         return trace.output, trace
 
     # -- backward --------------------------------------------------------
@@ -237,12 +245,11 @@ class Network:
         """Accumulate one part's gradients; return the gradient w.r.t. its input.
 
         ``trace`` is that part's forward trace and ``dout`` the gradient w.r.t.
-        its output. The extractor applies the activation after its last layer,
-        the two heads do not. The extractor's input is data, so its input
-        gradient is never computed and ``None`` is returned.
+        its output. The extractor's input is data, so its input gradient is
+        never computed and ``None`` is returned.
         """
         layers = self.parts[part]
-        activate_last = part == "extractor"
+        activate_last = _activates_last(part)
         if dout.shape != trace.act[-1].shape:
             raise ValueError(
                 f"{part} upstream gradient shape {dout.shape} != output {trace.act[-1].shape}"

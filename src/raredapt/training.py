@@ -12,11 +12,12 @@ a tolerance of the best value seen.
 
 The adversarial methods differ only in routing: the sampler's ``route_delta``
 picks which feature rows of each batch reach the discriminator (rare-class
-rows for deerdann, every row for alldann), sorted and unique. The step
-gathers those rows on the forward pass and adds their gradient back into the
-same rows on the backward pass, through the gradient reversal layer: identity
-forward, negate-and-scale backward, so the extractor is pushed to *maximize*
-the discriminator's loss while the discriminator minimizes it.
+rows for deerdann, every row for alldann; no other method routes any), sorted
+and unique. The step gathers those rows on the forward pass and adds their
+gradient back into the same rows on the backward pass, through the gradient
+reversal layer: identity forward, negate-and-scale backward, so the extractor
+is pushed to *maximize* the discriminator's loss while the discriminator
+minimizes it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import SPLITS, Dataset
-from .domains import METHODS, BatchPair, build_domains, paired_sampler
+from .domains import ADVERSARIAL, METHODS, BatchPair, build_domains, paired_sampler
 from .losses import DOMAIN_SOURCE, DOMAIN_TARGET, coral_loss, cross_entropy, domain_confusion
 from .metrics import RunMetrics, evaluate
 from .network import Network, default_network_spec, grl_backward
@@ -194,22 +195,6 @@ class EpochRecord:
     split_metrics: dict[str, RunMetrics] = field(repr=False)
 
 
-def _discriminator_labels(pair: BatchPair, config: TrainConfig) -> np.ndarray:
-    """Domain labels for the routed rows, source block then target block.
-
-    'membership' labels by set: source-batch rows are DOMAIN_SOURCE even for
-    the real rare samples living in S. 'provenance' labels by sample origin
-    (synthetic -> source, real -> target) regardless of set.
-    """
-    rs, rt = pair.routed_source_rows, pair.routed_target_rows
-    labels = np.repeat([DOMAIN_SOURCE, DOMAIN_TARGET], [rs.size, rt.size])
-    if config.discriminator_labels == "provenance":
-        labels[: rs.size] = np.where(
-            pair.source.domains[rs] == "synthetic", DOMAIN_SOURCE, DOMAIN_TARGET
-        )
-    return labels
-
-
 class _Totals:
     """One epoch's sums behind an EpochRecord's loss fields.
 
@@ -239,6 +224,7 @@ class _Totals:
 
 def _train_batch(
     net: Network,
+    dataset: Dataset,
     pair: BatchPair,
     config: TrainConfig,
     grl_scale: float,
@@ -247,17 +233,20 @@ def _train_batch(
 ) -> None:
     """Forward and backward passes of one step; leaves the gradients in ``net``.
 
-    Every method classifies the source batch. A method with a target set
-    also forwards the target batch and adds its alignment term: the domain
-    confusion of the routed rows behind the reversal layer (deerdann,
-    alldann), or the covariance alignment of logits or features (deercoral).
+    The step gathers the rows of ``pair`` from ``dataset``. Every method
+    classifies the source batch. A method with a target set also forwards the
+    target batch and adds its alignment term: the domain confusion of the
+    routed rows behind the reversal layer (adversarial methods), or the
+    covariance alignment of logits or features (deercoral). 'membership'
+    labels routed rows by set; 'provenance' labels source rows by origin
+    (synthetic -> source, real -> target).
     Each loss goes into ``totals`` as it is computed (see :class:`_Totals`).
     Raises TrainingDiverged on a non-finite loss, before any backward pass.
     The backward pass runs the source side, then the target side; each side
     runs its heads, then the extractor.
     """
-    xs = pair.source.features
-    xt = None if pair.target is None else pair.target.features
+    xs = dataset.features[pair.source]
+    xt = None if pair.target is None else dataset.features[pair.target]
     if config.feature_jitter > 0:  # source noise is drawn first, then target
         xs = xs + jitter_rng.standard_normal(xs.shape) * config.feature_jitter
         if xt is not None:
@@ -265,13 +254,14 @@ def _train_batch(
     net.zero_grads()
     f_src, tr_f_src = net.forward_features(xs)
     logits_src, tr_c_src = net.forward_classifier(f_src)
-    classification = cross_entropy(logits_src, pair.source.class_ids)
+    classification = cross_entropy(logits_src, dataset.class_ids[pair.source])
     composite = classification.value
     confusion = coral = None
     rs, rt = pair.routed_source_rows, pair.routed_target_rows
     if xt is not None:
         f_tgt, tr_f_tgt = net.forward_features(xt)
-    if config.method in ("deerdann", "alldann") and rs.size + rt.size > 0:
+    adversarial = config.method in ADVERSARIAL
+    if adversarial and rs.size + rt.size > 0:
         blocks = []
         if rs.size:
             d_logits_src, tr_d_src = net.forward_discriminator(f_src[rs])
@@ -280,13 +270,16 @@ def _train_batch(
             d_logits_tgt, tr_d_tgt = net.forward_discriminator(f_tgt[rt])
             blocks.append(d_logits_tgt)
         stacked = np.vstack(blocks)
-        labels = _discriminator_labels(pair, config)
+        labels = np.repeat([DOMAIN_SOURCE, DOMAIN_TARGET], [rs.size, rt.size])
+        if config.discriminator_labels == "provenance":
+            synthetic = dataset.domains[pair.source[rs]] == "synthetic"
+            labels[: rs.size] = np.where(synthetic, DOMAIN_SOURCE, DOMAIN_TARGET)
         confusion = domain_confusion(stacked, labels)
         hits = labels[np.argmax(stacked, axis=1) == labels]
         totals.disc += (np.bincount(hits, minlength=2), np.bincount(labels, minlength=2))
         totals.add("domain_loss", confusion.value, confusion.dlogits.shape[0])
         composite += config.domain_weight * confusion.value
-    elif config.method == "deercoral":
+    elif not adversarial and xt is not None:
         if config.coral_layer == "logits":
             logits_tgt, tr_c_tgt = net.forward_classifier(f_tgt)
             coral = coral_loss(logits_src, logits_tgt)
@@ -341,10 +334,11 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
 
     Inputs are checked at the boundary and the step then trusts its arrays:
     the Dataset checked its features when it was built, ``TrainConfig`` its
-    fields, and the labels are checked here once, so a label out of range
-    raises a plain ValueError before any step. Inside the step, two checks
-    catch numerical divergence, each raising TrainingDiverged that names the
-    epoch and batch before the optimizer changes anything:
+    fields, and the labels and splits are checked here once: a label out of
+    range, a split with no real rows, or a trans_val with no real row outside
+    the rare class raises a plain ValueError before any step. Inside the step,
+    two checks catch numerical divergence, each raising TrainingDiverged that
+    names the epoch and batch before the optimizer changes anything:
 
     - the composite loss: a NaN or Inf in an input row, an activation or a
       loss term makes it non-finite; the message lists each term's value,
@@ -359,14 +353,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
     labels = dataset.class_ids
     if labels.size and (labels.min() < 0 or labels.max() >= dataset.num_classes):
         raise ValueError(f"label out of range [0, {dataset.num_classes}) in the dataset")
-    net_spec = default_network_spec(
-        dataset.feature_dim,
-        dataset.num_classes,
-        feature_dims=config.feature_dims,
-        classifier_hidden=config.classifier_hidden,
-        discriminator_hidden=config.discriminator_hidden,
-    )
-    net = Network.initialize(net_spec, make_rng(config.seed, _INIT_STREAM))
     org = build_domains(
         dataset,
         config.method,
@@ -375,6 +361,22 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
         seed=config.seed,
         rare_class_id=config.rare_class_id,
     )
+    # every split is evaluated each epoch, and selection needs trans_val's other classes
+    for split, rows in dataset.real_split_indices.items():
+        if rows.size == 0:
+            raise ValueError(f"split {split!r} has no real samples")
+    if (dataset.class_ids[dataset.real_split_indices["trans_val"]] == org.rare_class_id).all():
+        raise ValueError(
+            f"split 'trans_val' has no real samples outside rare class {org.rare_class_id}"
+        )
+    net_spec = default_network_spec(
+        dataset.feature_dim,
+        dataset.num_classes,
+        feature_dims=config.feature_dims,
+        classifier_hidden=config.classifier_hidden,
+        discriminator_hidden=config.discriminator_hidden,
+    )
+    net = Network.initialize(net_spec, make_rng(config.seed, _INIT_STREAM))
     opt = Adam(net, config)
     jitter_rng = make_rng(config.seed, _JITTER_STREAM)
     history: list[EpochRecord] = []
@@ -390,7 +392,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
                 paired_sampler(org, config.batch_size, config.seed, epoch)
             ):
                 try:
-                    _train_batch(net, pair, config, grl_scale, jitter_rng, totals)
+                    _train_batch(net, dataset, pair, config, grl_scale, jitter_rng, totals)
                     opt.step()
                 except TrainingDiverged as exc:
                     raise TrainingDiverged(

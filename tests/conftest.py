@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from raredapt import GenSpec, generate, make_rng, route_delta
-from raredapt.domains import BatchPair, SideBatch
+from raredapt import Dataset, GenSpec, generate, make_rng, route_delta
+from raredapt.domains import BatchPair
 from raredapt.network import MlpSpec, Network, NetworkSpec
 
 KINK_MARGIN = 5e-3  # finite differences are invalid within ~h of a ReLU kink
@@ -27,6 +29,17 @@ def tiny_gen_spec(**overrides) -> GenSpec:
 @pytest.fixture(scope="session")
 def tiny_dataset():
     return generate(tiny_gen_spec())
+
+
+def rows_moved(dataset, split, to, keep_class=None) -> Dataset:
+    """A copy of ``dataset`` whose ``split`` rows carry split ``to`` instead,
+    except the rows of ``keep_class``."""
+    moving = dataset.splits == split
+    if keep_class is not None:
+        moving &= dataset.class_ids != keep_class
+    return Dataset(features=dataset.features, class_ids=dataset.class_ids,
+                   domains=dataset.domains, location_ids=dataset.location_ids,
+                   splits=np.where(moving, to, dataset.splits), class_names=dataset.class_names)
 
 
 def micro_spec(rng: np.random.Generator) -> NetworkSpec:
@@ -63,16 +76,15 @@ def trace_clear_of_kinks(*traces, margin: float = KINK_MARGIN) -> bool:
     return all(np.abs(z).min() >= margin for tr in traces if tr is not None for z in tr.pre)
 
 
-def batch_pair(method, rare_class_id, xs, ys, xt=None, yt=None) -> BatchPair:
-    """A hand-built batch pair, routed as ``paired_sampler`` routes one; pass
-    no target batch for the baseline."""
-
-    def side(x, y):
-        return SideBatch(features=x, class_ids=y, domains=np.full(len(y), "real"),
-                         indices=np.arange(len(y)))
-
-    if xt is None:
-        target, routed_target = None, np.empty(0, dtype=np.int64)
-    else:
-        target, routed_target = side(xt, yt), route_delta(yt, method, rare_class_id)
-    return BatchPair(side(xs, ys), target, route_delta(ys, method, rare_class_id), routed_target)
+def batch_pair(method, rare_class_id, xs, ys, xt=None, yt=None):
+    """A hand-built step input, routed as ``paired_sampler`` routes one: a
+    small array holder with the source rows, then the target rows, all real,
+    and a ``BatchPair`` of their indices; pass no target batch for the
+    baseline. Returns ``(rows, pair)``."""
+    n = len(ys)
+    xt, yt = (xs[:0], ys[:0]) if xt is None else (xt, yt)
+    rows = SimpleNamespace(features=np.vstack([xs, xt]), class_ids=np.concatenate([ys, yt]),
+                           domains=np.full(n + len(yt), "real"))
+    target = np.arange(n, n + len(yt)) if len(yt) else None
+    routed = [route_delta(y, method, rare_class_id) for y in (ys, yt)]
+    return rows, BatchPair(np.arange(n), target, *routed)

@@ -169,3 +169,21 @@ def test_every_file_write_goes_through_the_writer():
         '",".join(r)\n", ".join(r)\n'
     )
     assert len(_writes_outside_the_writer(sample)) == 9
+
+
+def _method_literals(tree: ast.AST) -> list[str]:
+    """String constants that name a training method."""
+    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in raredapt.METHODS]
+
+
+def test_only_domains_names_a_method():
+    # domains.py decides what each method does; other modules branch on its sets
+    found = {
+        path.name: _method_literals(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "domains.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    sample = ast.parse('m = "deerdann"\nif m in ("baseline", "alldann"): x = "deercoral "\n')
+    assert len(_method_literals(sample)) == 3

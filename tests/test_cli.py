@@ -7,12 +7,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from raredapt import cli, save_checkpoint
+from raredapt import cli, generate, save_checkpoint, save_csv
 from raredapt.checkpoint import MAGIC
 from raredapt.training import CORAL_LAYERS, DISCRIMINATOR_LABELS, TrainConfig, TrainingDiverged
 from raredapt.cli import main
 
-from conftest import tiny_gen_spec
+from conftest import rows_moved, tiny_gen_spec
 from test_checkpoint import make_checkpoint, rewrite_header
 from test_data import OUTSIZED_IDS, _write_tiny_with_cell
 
@@ -257,6 +257,22 @@ def test_train_on_an_outsized_id_is_one_error_line(tmp_path, capsys, column, cel
     assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
                  "--epochs", "1", "--synthetic-count", "0"]) == 1
     assert capsys.readouterr().err == f"error: {data}: line 7: {reason}\n"
+    assert not run.exists()
+
+
+def test_train_on_data_with_no_other_class_in_trans_val_fails_before_training(tmp_path, capsys):
+    # every epoch would train, then selection would find no eligible epoch
+    dataset = generate(tiny_gen_spec())
+    data = tmp_path / "data.csv"
+    save_csv(rows_moved(dataset, "trans_val", "trans_test", keep_class=dataset.rare_class_id),
+             data)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--method", "deerdann", "--out", str(run),
+                 "--epochs", "20", "--batch-size", "32", "--synthetic-count", "40"]) == 1
+    assert capsys.readouterr().err == (
+        "error: split 'trans_val' has no real samples outside rare class 3\n"
+    )
     assert not run.exists()
 
 

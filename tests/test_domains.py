@@ -69,7 +69,7 @@ def test_build_domains_rejects_unknown_method_and_missing_rare(tiny_dataset):
 def test_route_delta_examples():
     labels = np.array([3, 0, 3, 1])
     assert route_delta(labels, "deerdann", 3).tolist() == [0, 2]
-    assert route_delta(labels, "deercoral", 3).tolist() == [0, 2]
+    assert route_delta(labels, "deercoral", 3).tolist() == []
     assert route_delta(np.array([0, 1, 2]), "deerdann", 3).tolist() == []
     assert route_delta(labels, "alldann", 3).tolist() == [0, 1, 2, 3]
     assert route_delta(labels, "baseline", 3).tolist() == []
@@ -92,7 +92,7 @@ def test_epoch_covers_source_exactly_once(tiny_dataset):
     org = build_domains(tiny_dataset, "deercoral", synthetic_count=64)
     emitted = []
     for pair in paired_sampler(org, batch_size=32, seed=0, epoch=0):
-        emitted.extend(pair.source.indices.tolist())
+        emitted.extend(pair.source.tolist())
     expected = sorted(org.source_indices.tolist())
     dropped = len(org.source_indices) % 32
     if dropped == 1:  # a single trailing sample is dropped
@@ -106,7 +106,7 @@ def test_sampler_deterministic_per_seed(tiny_dataset):
 
     def collect(seed):
         return [
-            (pair.source.indices.tolist(), pair.target.indices.tolist())
+            (pair.source.tolist(), pair.target.tolist())
             for pair in paired_sampler(org, batch_size=16, seed=seed, epoch=2)
         ]
 
@@ -117,8 +117,8 @@ def test_sampler_deterministic_per_seed(tiny_dataset):
 def test_target_batches_match_source_size(tiny_dataset):
     org = build_domains(tiny_dataset, "alldann", synthetic_count=10)
     for pair in paired_sampler(org, batch_size=48, seed=1, epoch=0):
-        assert pair.target.indices.size == pair.source.indices.size
-        assert pair.routed_source_rows.size == pair.source.indices.size  # alldann: all rows
+        assert pair.target.size == pair.source.size
+        assert pair.routed_source_rows.size == pair.source.size  # alldann: all rows
 
 
 def test_target_wraps_around_in_whole_reshuffled_passes(tiny_dataset):
@@ -127,7 +127,7 @@ def test_target_wraps_around_in_whole_reshuffled_passes(tiny_dataset):
     org = build_domains(tiny_dataset, "deerdann", synthetic_count=80, oversample_factor=1)
     t = org.target_indices.size
     emitted = np.concatenate(
-        [p.target.indices for p in paired_sampler(org, batch_size=32, seed=0, epoch=0)]
+        [p.target for p in paired_sampler(org, batch_size=32, seed=0, epoch=0)]
     )
     assert emitted.size > 2 * t and emitted.size % 32 != 0 and t % 32 != 0
     passes = [emitted[i : i + t] for i in range(0, emitted.size - t + 1, t)]
@@ -140,7 +140,7 @@ def test_short_final_batch_dropped(tiny_dataset):
     org = build_domains(tiny_dataset, "baseline", synthetic_count=0)
     n = org.source_indices.size
     batch = n - 1  # leaves a single-sample remainder
-    sizes = [p.source.indices.size for p in paired_sampler(org, batch, seed=0, epoch=0)]
+    sizes = [p.source.size for p in paired_sampler(org, batch, seed=0, epoch=0)]
     assert sizes == [batch]
 
 
@@ -158,8 +158,32 @@ def test_routed_rows_partition_batch(tiny_dataset):
     org = build_domains(tiny_dataset, "deerdann", synthetic_count=120)
     for pair in paired_sampler(org, batch_size=32, seed=7, epoch=0):
         routed = set(pair.routed_source_rows.tolist())
-        rest = set(range(pair.source.indices.size)) - routed
+        rest = set(range(pair.source.size)) - routed
         for i in routed:
-            assert pair.source.class_ids[i] == org.rare_class_id
+            assert tiny_dataset.class_ids[pair.source[i]] == org.rare_class_id
         for i in rest:
-            assert pair.source.class_ids[i] != org.rare_class_id
+            assert tiny_dataset.class_ids[pair.source[i]] != org.rare_class_id
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_only_adversarial_methods_route_rows_on_either_side(tiny_dataset, method):
+    org = build_domains(tiny_dataset, method, synthetic_count=80)
+    rare = org.rare_class_id
+    steps = 0
+    for pair in paired_sampler(org, batch_size=32, seed=4, epoch=0):
+        assert (pair.target is None) == (method == "baseline")
+        sides = [(pair.source, pair.routed_source_rows)]
+        if pair.target is None:
+            assert pair.routed_target_rows.size == 0
+        else:
+            sides.append((pair.target, pair.routed_target_rows))
+        for rows, routed in sides:
+            expected = {
+                "baseline": [],
+                "deerdann": np.flatnonzero(tiny_dataset.class_ids[rows] == rare).tolist(),
+                "alldann": list(range(rows.size)),
+                "deercoral": [],
+            }[method]
+            assert routed.tolist() == expected
+        steps += 1
+    assert steps == 13  # one epoch: 311 train + 80 synthetic rows in batches of 32

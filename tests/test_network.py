@@ -155,10 +155,10 @@ def test_grl_scale_zero_reproduces_classifier_only_extractor_grads():
     xs, xt = rng.standard_normal((6, 4)), rng.standard_normal((6, 4))
     ys, yt = np.array([3, 0, 1, 3, 3, 2]), np.full(6, 3)
 
-    def step(method, pair):
+    def step(method, rows_and_pair):
         net = Network.initialize(small_spec(), make_rng(15))
         config = TrainConfig(method=method, grl_scale=0.0)
-        _train_batch(net, pair, config, 0.0, make_rng(0), _Totals())
+        _train_batch(net, *rows_and_pair, config, 0.0, make_rng(0), _Totals())
         return {key: net.grads[span] for key, (span, _) in net.slots.items()}
 
     plain = step("baseline", batch_pair("baseline", 3, xs, ys))

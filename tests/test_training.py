@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import raredapt.training
 from raredapt import (
     Adam,
     Network,
@@ -16,11 +17,18 @@ from raredapt import (
     select_epoch,
     train,
 )
+from raredapt.domains import ADVERSARIAL
 from raredapt.losses import DOMAIN_SOURCE, DOMAIN_TARGET
 from raredapt.network import MlpSpec, NetworkSpec
 from raredapt.training import _Totals, _train_batch
 
-from conftest import batch_pair, make_gradcheck_net, tiny_gen_spec, trace_clear_of_kinks
+from conftest import (
+    batch_pair,
+    make_gradcheck_net,
+    rows_moved,
+    tiny_gen_spec,
+    trace_clear_of_kinks,
+)
 from oracles import finite_diff_grad, relative_error
 
 
@@ -211,6 +219,28 @@ def test_train_mislabelled_batch_raises_plain_value_error():
     assert not isinstance(info.value, TrainingDiverged)
 
 
+@pytest.mark.parametrize("split, to, keep_rare, message", [
+    ("cis_val", "cis_test", False, "split 'cis_val' has no real samples"),
+    ("trans_val", "trans_test", True,
+     "split 'trans_val' has no real samples outside rare class 3"),
+])
+def test_train_rejects_a_split_it_cannot_evaluate_before_any_step(
+    tiny_dataset, monkeypatch, split, to, keep_rare, message
+):
+    # evaluation needs every split, and selection trans_val's other classes;
+    # such a dataset is valid, so train() refuses it before the first step
+    keep = tiny_dataset.rare_class_id if keep_rare else None
+    dataset = rows_moved(tiny_dataset, split, to, keep_class=keep)
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(raredapt.training, "paired_sampler", no_step)
+    cfg = TrainConfig(method="deerdann", epochs=2, synthetic_count=40, batch_size=32)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(dataset, cfg)
+
+
 @pytest.mark.parametrize("method", ["baseline", "deerdann", "alldann", "deercoral"])
 def test_train_nan_feature_written_after_build_diverges_in_epoch_0(method):
     # the Dataset checked its features when it was built; the step trusts
@@ -372,13 +402,13 @@ def test_provenance_discriminator_labels_change_dynamics(tiny_dataset):
     assert h_member[-1].domain_loss != h_prov[-1].domain_loss
 
 
-def step_terms(net, pair, config):
+def step_terms(net, rows, pair, config):
     """The step's loss terms by plain forward passes: L_C, the alignment term
     (L_D or L_coral), and every trace, for the kink check."""
-    f_s, tr_fs = net.forward_features(pair.source.features)
-    f_t, tr_ft = net.forward_features(pair.target.features)
+    f_s, tr_fs = net.forward_features(rows.features[pair.source])
+    f_t, tr_ft = net.forward_features(rows.features[pair.target])
     logits_s, tr_cs = net.forward_classifier(f_s)
-    lc = cross_entropy(logits_s, pair.source.class_ids).value
+    lc = cross_entropy(logits_s, rows.class_ids[pair.source]).value
     traces = [tr_fs, tr_ft, tr_cs]
     if config.method == "deercoral":
         if config.coral_layer == "features":
@@ -394,19 +424,20 @@ def step_terms(net, pair, config):
 
 
 def step_instance(seed, config):
-    """A micro net and a hand-built batch pair clear of ReLU kinks, or None."""
+    """A micro net and a hand-built step input clear of ReLU kinks, or None."""
     net, rng = make_gradcheck_net(seed)
     n = int(rng.integers(3, 8))
     d_in, k = net.spec.extractor.input_dim, net.spec.class_count
     rare = k - 1
     xs, xt = rng.standard_normal((n, d_in)), rng.standard_normal((n, d_in))
     ys, yt = (np.where(rng.random(n) < 0.5, rare, rng.integers(0, k, n)) for _ in range(2))
-    pair = batch_pair(config.method, rare, xs, ys, xt, yt)
-    if pair.routed_source_rows.size + pair.routed_target_rows.size == 0:
+    rows, pair = batch_pair(config.method, rare, xs, ys, xt, yt)
+    adversarial = config.method in ADVERSARIAL
+    if adversarial and pair.routed_source_rows.size + pair.routed_target_rows.size == 0:
         return None
-    if not trace_clear_of_kinks(*step_terms(net, pair, config)[2]):
+    if not trace_clear_of_kinks(*step_terms(net, rows, pair, config)[2]):
         return None
-    return net, pair
+    return net, rows, pair
 
 
 def test_composite_adversarial_gradient_matches_finite_differences():
@@ -425,11 +456,11 @@ def test_composite_adversarial_gradient_matches_finite_differences():
             instance = step_instance(seed, config)
             if instance is None:
                 continue
-            net, pair = instance
+            net, rows, pair = instance
             totals = _Totals()
-            _train_batch(net, pair, config, grl, make_rng(0), totals)
-            lc, term, _ = step_terms(net, pair, config)
-            adversarial = config.method != "deercoral"
+            _train_batch(net, rows, pair, config, grl, make_rng(0), totals)
+            lc, term, _ = step_terms(net, rows, pair, config)
+            adversarial = config.method in ADVERSARIAL
             weight = w_d if adversarial else w_c
             composite = totals.summary()["composite_loss"]
             assert composite == pytest.approx(lc + weight * term, rel=1e-12)
@@ -444,7 +475,7 @@ def test_composite_adversarial_gradient_matches_finite_differences():
                     def f(mat, layer=layer, attr=attr, sign=sign):
                         old = getattr(layer, attr)
                         setattr(layer, attr, mat.reshape(old.shape))
-                        lcv, termv, _ = step_terms(net, pair, config)
+                        lcv, termv, _ = step_terms(net, rows, pair, config)
                         setattr(layer, attr, old)
                         return lcv + sign * termv
 
