@@ -29,13 +29,7 @@ from .losses import (
     domain_confusion,
 )
 from .metrics import RunMetrics, comparison_table, evaluate, table_row
-from .network import (
-    MlpSpec,
-    Network,
-    NetworkSpec,
-    default_network_spec,
-    grl_backward,
-)
+from .network import Network, NetworkSpec, grl_backward
 from .numerics import NonFiniteError, make_rng
 from .projection import ProjectedFeatures, bimodality_score, export_scatter, pca_fit, project_features
 from .training import (

@@ -3,24 +3,29 @@
 Byte layout (all integers little-endian):
 
     offset  size             field
-    0       8                magic b"RDCKPT02" (format name + version)
+    0       8                magic b"RDCKPT03" (format name + version)
     8       4                u32 header length H
     12      H                header JSON, UTF-8: format_version, config_hash,
-                             epoch, network part shapes, param_count
+                             epoch, network (the five NetworkSpec fields),
+                             param_count
     12+H    8 x param_count  the network's flat parameter vector as one
                              record of raw float64 values (little-endian)
 
 The record is ``Network.params`` exactly as the network lays it out (see
 :mod:`raredapt.network`), so save -> load -> forward is bit-identical to the
 pre-save network. A human-readable sidecar ``<path>.meta.json`` mirrors the
-header. Loading verifies the magic, the declared lengths, that
-``param_count`` is the parameter count the network spec implies, that the
-file ends exactly after the record, and that every parameter is finite (the
-forward pass does not scan values, see :mod:`raredapt.network`); truncated,
-corrupt or mismatched files raise without returning partial state.
-Version-1 files, which stored one record per named array, are rejected as
-an unsupported version. Saving rejects a parameter vector whose length
-disagrees with the spec before writing; each file is replaced atomically.
+header. Loading verifies the magic, the declared lengths, that ``epoch`` and
+``param_count`` are non-negative ints, that ``param_count`` is the parameter
+count the network spec implies, that the file ends exactly after the record,
+and that every parameter is finite (the forward pass does not scan values,
+see :mod:`raredapt.network`). The spec is built through ``NetworkSpec``
+itself, so a header dimension passes the same checks as a config's: a
+string, float or bool is rejected, not converted. Truncated, corrupt or
+mismatched files raise without returning partial state.
+Version-1 files (one record per named array) and version-2 files (a spec
+nested as three parts) are rejected as an unsupported version. Saving
+rejects a parameter vector whose length disagrees with the spec before
+writing; each file is replaced atomically.
 
 The header holds no metrics snapshot; a run directory's
 ``selected_metrics.json`` records the selected epoch's metrics. Loading reads
@@ -36,10 +41,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import atomic_open, write_json
-from .network import MlpSpec, Network, NetworkSpec
+from .network import Network, NetworkSpec
+from .numerics import json_tuples
 
-MAGIC = b"RDCKPT02"
-FORMAT_VERSION = 2
+MAGIC = b"RDCKPT03"
+FORMAT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -61,19 +67,11 @@ class Checkpoint:
         return net
 
 
-def _spec_from_dict(payload: dict) -> NetworkSpec:
-    def mlp(p):
-        return MlpSpec(
-            input_dim=int(p["input_dim"]),
-            hidden_dims=tuple(int(v) for v in p["hidden_dims"]),
-            output_dim=int(p["output_dim"]),
-        )
-
-    return NetworkSpec(
-        extractor=mlp(payload["extractor"]),
-        classifier=mlp(payload["classifier"]),
-        discriminator=mlp(payload["discriminator"]),
-    )
+def _header_count(header: dict, key: str) -> int:
+    value = header[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{key} must be a non-negative int, got {value!r}")
+    return value
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
@@ -126,10 +124,10 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: format version {header.get('format_version')} != {FORMAT_VERSION}"
         )
     try:
-        network_spec = _spec_from_dict(header["network"])
-        epoch = int(header["epoch"])
+        network_spec = NetworkSpec(**json_tuples(header["network"]))
+        epoch = _header_count(header, "epoch")
         config_hash = str(header["config_hash"])
-        param_count = int(header["param_count"])
+        param_count = _header_count(header, "param_count")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
     if param_count != network_spec.param_count:

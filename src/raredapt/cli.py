@@ -63,6 +63,7 @@ from .data import (
 )
 from .domains import METHODS
 from .metrics import TABLE_COLUMNS, comparison_table, none_if_nan, table_row
+from .numerics import json_tuples
 from .projection import bimodality_score, export_scatter, project_features
 from .training import (
     CORAL_LAYERS, DISCRIMINATOR_LABELS, EpochRecord, TrainConfig, TrainingDiverged, train
@@ -87,12 +88,7 @@ def _load_config_payload(path, cls) -> dict:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise CliError(f"unknown {cls.__name__} field(s) in {path}: {', '.join(unknown)}")
-    return {key: _tuples(value) for key, value in payload.items()}
-
-
-def _tuples(value):
-    """JSON arrays as (nested) tuples, the form the frozen dataclasses hold."""
-    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+    return json_tuples(payload)
 
 
 def _build_config(cls, path, args, what: str):
@@ -167,7 +163,7 @@ def cmd_gen_data(args) -> int:
     print("train split (real) class counts:")
     for c, count in enumerate(hist):
         rare = "  <- rare" if c == dataset.rare_class_id else ""
-        print(f"  {dataset.class_names[c]}: {count}{rare}")
+        print(f"  class{c}: {count}{rare}")
     print(f"synthetic pool: {len(dataset.synthetic_indices)}")
     return 0
 

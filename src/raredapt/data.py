@@ -63,7 +63,7 @@ _GEN_SPEC_RULES = (
                                 "test_count_per_class", "trans_locations_per_class",
                                 "gap_condition")),
     (">= 0", lambda v: v >= 0, ("synthetic_pool_size", "noise_scale", "class_mean_scale",
-                                "location_jitter", "gap_noise_factor")),
+                                "location_jitter", "gap_noise_factor", "seed")),
 )
 
 
@@ -157,7 +157,8 @@ class Dataset:
     trusted: training and evaluation do not rescan them. A Dataset is meant
     to be read, not edited; ``real_split_indices`` and ``synthetic_indices``
     are computed on first use and not updated if ``splits`` or ``domains``
-    change later.
+    change later. ``num_classes`` is derived, not given: the largest
+    ``class_id`` plus one, since every class needs a real train row.
     """
 
     features: np.ndarray
@@ -165,7 +166,7 @@ class Dataset:
     domains: np.ndarray
     location_ids: np.ndarray
     splits: np.ndarray
-    class_names: list[str]
+    num_classes: int = field(init=False)
     rare_class_id: int = field(init=False)
 
     def __post_init__(self):
@@ -188,9 +189,12 @@ class Dataset:
         if n == 0:
             raise DataFormatError("dataset has no rows")
         require_finite(self.features, "dataset features")
-        k = len(self.class_names)
+        # n rows hold at most n classes with a train row each; this also
+        # bounds the per-class counts below
+        k = min(int(self.class_ids.max()) + 1, n)
         if self.class_ids.min() < 0 or self.class_ids.max() >= k:
             raise DataFormatError(f"class_id out of range [0, {k})")
+        self.num_classes = k
         bad_domain = ~np.isin(self.domains, DOMAIN_TOKENS)
         if bad_domain.any():
             raise DataFormatError(f"unknown domain token {self.domains[bad_domain][0]!r}")
@@ -244,10 +248,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_names)
 
     @property
     def feature_dim(self) -> int:
@@ -379,7 +379,6 @@ def generate(spec: GenSpec) -> Dataset:
         domains=np.concatenate(domains),
         location_ids=np.concatenate(locations),
         splits=np.concatenate(splits),
-        class_names=[f"class{i}" for i in range(k)],
     )
 
 
@@ -460,7 +459,6 @@ def load_csv(path) -> Dataset:
             f"{path}: line {top + 2}: class_id {class_ids[top]} is not below the number of "
             f"data rows ({len(class_ids)}); every class needs a real train row"
         )
-    k = int(class_ids[top]) + 1
     try:
         return Dataset(
             features=feats,
@@ -468,7 +466,6 @@ def load_csv(path) -> Dataset:
             domains=np.array(domains),
             location_ids=location_ids,
             splits=np.array(splits),
-            class_names=[f"class{i}" for i in range(k)],
         )
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
@@ -549,5 +546,4 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
         and np.array_equal(a.domains, b.domains)
         and np.array_equal(a.location_ids, b.location_ids)
         and np.array_equal(a.splits, b.splits)
-        and a.class_names == b.class_names
     )

@@ -36,90 +36,59 @@ from typing import Iterator
 
 import numpy as np
 
+from .numerics import require_fields
+
 _PARTS = ("extractor", "classifier", "discriminator")
 
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Shape description of one network part: input -> hidden... -> output."""
-
-    input_dim: int
-    hidden_dims: tuple[int, ...]
-    output_dim: int
-
-    def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"all layer dims must be >= 1, got {dims}")
-
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        return list(zip(dims[:-1], dims[1:]))
+ARCH_RULES = (
+    ("non-empty", bool, ("feature_dims",)),
+    ("all >= 1", lambda v: min(v, default=1) >= 1,
+     ("feature_dims", "classifier_hidden", "discriminator_hidden")),
+)
+_SPEC_RULES = ((">= 1", lambda v: v >= 1, ("input_dim", "class_count")), *ARCH_RULES)
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """The full extractor/classifier/discriminator wiring.
+    """The shape of the three-part model; every layer is derived from it.
 
-    The extractor applies the activation after every layer, so features are
-    post-activation; both heads are linear in their final layer and emit raw
-    logits. The discriminator always has two outputs (source vs target).
+    The extractor maps ``input_dim`` through ``feature_dims``; its last width
+    is the feature dimension both heads read. The classifier maps features
+    through ``classifier_hidden`` to ``class_count`` logits, the discriminator
+    through ``discriminator_hidden`` to two (source vs target). The extractor
+    activates after every layer, so features are post-activation; both heads
+    emit raw logits. The widths a ``TrainConfig`` also holds are checked by
+    ``ARCH_RULES``, the table the config checks them with.
     """
 
-    extractor: MlpSpec
-    classifier: MlpSpec
-    discriminator: MlpSpec
+    input_dim: int
+    class_count: int
+    feature_dims: tuple[int, ...]
+    classifier_hidden: tuple[int, ...]
+    discriminator_hidden: tuple[int, ...]
 
     def __post_init__(self):
-        d_f = self.extractor.output_dim
-        if self.classifier.input_dim != d_f:
-            raise ValueError(
-                f"classifier input {self.classifier.input_dim} != feature dim {d_f}"
-            )
-        if self.discriminator.input_dim != d_f:
-            raise ValueError(
-                f"discriminator input {self.discriminator.input_dim} != feature dim {d_f}"
-            )
-        if self.discriminator.output_dim != 2:
-            raise ValueError(
-                f"discriminator must output 2 logits, got {self.discriminator.output_dim}"
-            )
+        require_fields(self, _SPEC_RULES)
 
     @property
     def feature_dim(self) -> int:
-        return self.extractor.output_dim
+        return self.feature_dims[-1]
 
-    @property
-    def class_count(self) -> int:
-        return self.classifier.output_dim
+    def layer_dims(self, part: str) -> list[tuple[int, int]]:
+        """``(fan_in, fan_out)`` of each layer of ``part``, input first."""
+        dims = {
+            "extractor": (self.input_dim, *self.feature_dims),
+            "classifier": (self.feature_dim, *self.classifier_hidden, self.class_count),
+            "discriminator": (self.feature_dim, *self.discriminator_hidden, 2),
+        }[part]
+        return list(zip(dims[:-1], dims[1:]))
 
     @property
     def param_count(self) -> int:
         """Length of a ``Network``'s flat parameter vector: every weight and bias."""
         return sum(
-            (fan_in + 1) * fan_out
-            for part in (self.extractor, self.classifier, self.discriminator)
-            for fan_in, fan_out in part.layer_dims
+            (fan_in + 1) * fan_out for part in _PARTS for fan_in, fan_out in self.layer_dims(part)
         )
-
-
-def default_network_spec(
-    input_dim: int,
-    class_count: int,
-    feature_dims: tuple[int, ...] = (64, 32),
-    classifier_hidden: tuple[int, ...] = (),
-    discriminator_hidden: tuple[int, ...] = (32,),
-) -> NetworkSpec:
-    """Desk-scale default: F = [in -> 64 -> 32], C = [32 -> K], D = [32 -> 32 -> 2]."""
-    if len(feature_dims) < 1:
-        raise ValueError("feature_dims must name at least the feature dimension")
-    d_f = feature_dims[-1]
-    return NetworkSpec(
-        extractor=MlpSpec(input_dim, tuple(feature_dims[:-1]), d_f),
-        classifier=MlpSpec(d_f, tuple(classifier_hidden), class_count),
-        discriminator=MlpSpec(d_f, tuple(discriminator_hidden), 2),
-    )
 
 
 @dataclass
@@ -178,7 +147,7 @@ class Network:
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        dims = [(n, i, d) for n in _PARTS for i, d in enumerate(getattr(spec, n).layer_dims)]
+        dims = [(n, i, d) for n in _PARTS for i, d in enumerate(spec.layer_dims(n))]
         self.weight_size = sum(fan_in * fan_out for *_, (fan_in, fan_out) in dims)
         self.params = np.zeros(spec.param_count)
         self.grads = np.zeros(spec.param_count)
@@ -208,12 +177,10 @@ class Network:
     # -- forward ---------------------------------------------------------
 
     def _forward_part(self, name: str, x: np.ndarray) -> PartTrace:
-        part_spec: MlpSpec = getattr(self.spec, name)
-        if x.ndim != 2 or x.shape[1] != part_spec.input_dim:
-            raise ValueError(
-                f"{name} expects input dim {part_spec.input_dim}, got shape {x.shape}"
-            )
         layers = self.parts[name]
+        fan_in = layers[0].w.shape[0]
+        if x.ndim != 2 or x.shape[1] != fan_in:
+            raise ValueError(f"{name} expects input dim {fan_in}, got shape {x.shape}")
         activate_last = _activates_last(name)
         pre, act = [], []
         a = x

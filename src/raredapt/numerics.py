@@ -11,6 +11,8 @@ corrupted input row) surfaces through the step's two whole-value checks: the
 composite loss and the optimizer's gradient check (see
 :mod:`raredapt.training`). :func:`softmax` is unchecked for the same reason:
 its one caller, the cross-entropy loss, feeds it logits the network made.
+:func:`json_tuples` gives a parsed JSON config or checkpoint header the
+tuple form those checked fields hold.
 
 Randomness goes through :func:`make_rng`, which builds a PCG64 generator from
 an integer seed plus optional integer stream keys. PCG64 is a documented fixed
@@ -82,6 +84,16 @@ def require_fields(obj, rules) -> None:
                     for text, ok, names in rules for name in names if not ok(getattr(obj, name))]
     if out_of_range:
         raise ValueError("; ".join(out_of_range))
+
+
+def json_tuples(value):
+    """A parsed JSON value with every array as a tuple, the form the frozen
+    dataclasses hold; objects keep their keys."""
+    if isinstance(value, list):
+        return tuple(json_tuples(v) for v in value)
+    if isinstance(value, dict):
+        return {key: json_tuples(v) for key, v in value.items()}
+    return value
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

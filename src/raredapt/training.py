@@ -35,7 +35,7 @@ from .data import SPLITS, Dataset
 from .domains import ADVERSARIAL, METHODS, BatchPair, build_domains, paired_sampler
 from .losses import DOMAIN_SOURCE, DOMAIN_TARGET, coral_loss, cross_entropy, domain_confusion
 from .metrics import RunMetrics, evaluate
-from .network import Network, default_network_spec, grl_backward
+from .network import ARCH_RULES, Network, NetworkSpec, grl_backward
 from .numerics import make_rng, require_fields
 
 _INIT_STREAM = 20
@@ -78,9 +78,7 @@ _TRAIN_CONFIG_RULES = (
                                 "selection_tolerance_points", "seed")),
     ("in [0, 1)", lambda v: 0 <= v < 1, ("beta1", "beta2")),
     ("None or >= 0", lambda v: v is None or v >= 0, ("rare_class_id",)),
-    ("non-empty", bool, ("feature_dims",)),
-    ("all >= 1", lambda v: min(v, default=1) >= 1,
-     ("feature_dims", "classifier_hidden", "discriminator_hidden")),
+    *ARCH_RULES,
     (" or ".join(map(repr, CORAL_LAYERS)), lambda v: v in CORAL_LAYERS, ("coral_layer",)),
     (" or ".join(map(repr, DISCRIMINATOR_LABELS)), lambda v: v in DISCRIMINATOR_LABELS,
      ("discriminator_labels",)),
@@ -335,10 +333,11 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
     Inputs are checked at the boundary and the step then trusts its arrays:
     the Dataset checked its features when it was built, ``TrainConfig`` its
     fields, and the labels and splits are checked here once: a label out of
-    range, a split with no real rows, or a trans_val with no real row outside
-    the rare class raises a plain ValueError before any step. Inside the step,
-    two checks catch numerical divergence, each raising TrainingDiverged that
-    names the epoch and batch before the optimizer changes anything:
+    range, a split with no real rows, or a trans_val without real rows both
+    of the rare class and outside it raises a plain ValueError before any
+    step. Inside the step, two checks catch numerical divergence, each
+    raising TrainingDiverged that names the epoch and batch before the
+    optimizer changes anything:
 
     - the composite loss: a NaN or Inf in an input row, an activation or a
       loss term makes it non-finite; the message lists each term's value,
@@ -361,21 +360,22 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[Epoch
         seed=config.seed,
         rare_class_id=config.rare_class_id,
     )
-    # every split is evaluated each epoch, and selection needs trans_val's other classes
+    # every split is evaluated each epoch, and selection needs trans_val's rare
+    # class and at least one other
     for split, rows in dataset.real_split_indices.items():
         if rows.size == 0:
             raise ValueError(f"split {split!r} has no real samples")
-    if (dataset.class_ids[dataset.real_split_indices["trans_val"]] == org.rare_class_id).all():
+    rare = dataset.class_ids[dataset.real_split_indices["trans_val"]] == org.rare_class_id
+    if rare.all():
         raise ValueError(
             f"split 'trans_val' has no real samples outside rare class {org.rare_class_id}"
         )
-    net_spec = default_network_spec(
-        dataset.feature_dim,
-        dataset.num_classes,
-        feature_dims=config.feature_dims,
-        classifier_hidden=config.classifier_hidden,
-        discriminator_hidden=config.discriminator_hidden,
-    )
+    if not rare.any():
+        raise ValueError(
+            f"split 'trans_val' has no real samples of rare class {org.rare_class_id}"
+        )
+    net_spec = NetworkSpec(dataset.feature_dim, dataset.num_classes, config.feature_dims,
+                           config.classifier_hidden, config.discriminator_hidden)
     net = Network.initialize(net_spec, make_rng(config.seed, _INIT_STREAM))
     opt = Adam(net, config)
     jitter_rng = make_rng(config.seed, _JITTER_STREAM)

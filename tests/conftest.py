@@ -5,7 +5,7 @@ import pytest
 
 from raredapt import Dataset, GenSpec, generate, make_rng, route_delta
 from raredapt.domains import BatchPair
-from raredapt.network import MlpSpec, Network, NetworkSpec
+from raredapt.network import Network, NetworkSpec
 
 KINK_MARGIN = 5e-3  # finite differences are invalid within ~h of a ReLU kink
 
@@ -31,15 +31,18 @@ def tiny_dataset():
     return generate(tiny_gen_spec())
 
 
-def rows_moved(dataset, split, to, keep_class=None) -> Dataset:
+def rows_moved(dataset, split, to, keep_class=None, only_class=None) -> Dataset:
     """A copy of ``dataset`` whose ``split`` rows carry split ``to`` instead,
-    except the rows of ``keep_class``."""
+    except the rows of ``keep_class``; with ``only_class``, only that class's
+    rows move."""
     moving = dataset.splits == split
     if keep_class is not None:
         moving &= dataset.class_ids != keep_class
+    if only_class is not None:
+        moving &= dataset.class_ids == only_class
     return Dataset(features=dataset.features, class_ids=dataset.class_ids,
                    domains=dataset.domains, location_ids=dataset.location_ids,
-                   splits=np.where(moving, to, dataset.splits), class_names=dataset.class_names)
+                   splits=np.where(moving, to, dataset.splits))
 
 
 def micro_spec(rng: np.random.Generator) -> NetworkSpec:
@@ -49,11 +52,7 @@ def micro_spec(rng: np.random.Generator) -> NetworkSpec:
     d_f = int(rng.integers(2, 8))
     k = int(rng.integers(2, 8))
     d_dh = int(rng.integers(2, 8))
-    return NetworkSpec(
-        extractor=MlpSpec(d_in, (d_h,), d_f),
-        classifier=MlpSpec(d_f, (), k),
-        discriminator=MlpSpec(d_f, (d_dh,), 2),
-    )
+    return NetworkSpec(d_in, k, (d_h, d_f), (), (d_dh,))
 
 
 def make_gradcheck_net(seed: int) -> tuple[Network, np.random.Generator]:

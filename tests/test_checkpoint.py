@@ -13,11 +13,11 @@ from raredapt import (
     save_checkpoint,
 )
 from raredapt.checkpoint import MAGIC
-from raredapt.network import MlpSpec, NetworkSpec
+from raredapt.network import NetworkSpec
 
 
 def make_checkpoint():
-    spec = NetworkSpec(MlpSpec(4, (5,), 3), MlpSpec(3, (), 4), MlpSpec(3, (3,), 2))
+    spec = NetworkSpec(4, 4, (5, 3), (), (3,))
     net = Network.initialize(spec, make_rng(31))
     return Checkpoint(
         params=net.snapshot(),
@@ -34,6 +34,7 @@ def test_round_trip_bit_identical_params_and_forward(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.epoch == 7
     assert loaded.config_hash == "abc123"
+    assert loaded.network_spec == cp.network_spec
     assert np.array_equal(loaded.params, cp.params)
     x = make_rng(32).standard_normal((6, 4))
     before = cp.build_network()
@@ -74,20 +75,34 @@ def test_malformed_header_fields_raise_checkpoint_error(tmp_path):
     def drop(key):
         return lambda header: {k: v for k, v in header.items() if k != key}
 
-    def wide_input(header):
-        header["network"]["extractor"]["input_dim"] = "wide"
-        return header
-
-    def wider_hidden(header):
-        header["network"]["extractor"]["hidden_dims"] = [63]
-        return header
+    def setting(key, value, part=None):
+        def edit(header):
+            (header if part is None else header[part])[key] = value
+            return header
+        return edit
 
     for edit, reason in (
         (drop("network"), "KeyError: 'network'"),
         (drop("epoch"), "KeyError: 'epoch'"),
-        (wide_input, "ValueError: invalid literal for int()"),
+        (setting("input_dim", "wide", "network"), "ValueError: input_dim must be int, got 'wide'"),
         (lambda header: list(header), "header is not a JSON object"),
-        (wider_hidden, "param_count 79 != 543 implied by the network spec"),
+        (setting("feature_dims", [63, 3], "network"),
+         "param_count 79 != 543 implied by the network spec"),
+        # dimensions are checked, never converted: "5" or 5.7 must not load as 5
+        (setting("feature_dims", "5", "network"),
+         "ValueError: feature_dims must be tuple[int, ...], got '5'"),
+        (setting("feature_dims", [5.7, 3], "network"),
+         "ValueError: feature_dims must be tuple[int, ...], got (5.7, 3)"),
+        (setting("class_count", True, "network"), "ValueError: class_count must be int, got True"),
+        (setting("network", 5), "TypeError"),
+        (setting("network", [1]), "TypeError"),
+        (setting("network", {"extractor": {}}), "TypeError"),
+        # so are the counts: 2.9 must not load as epoch 2
+        (setting("epoch", 2.9), "ValueError: epoch must be a non-negative int, got 2.9"),
+        (setting("epoch", -4), "ValueError: epoch must be a non-negative int, got -4"),
+        (setting("epoch", True), "ValueError: epoch must be a non-negative int, got True"),
+        (setting("param_count", 79.0),
+         "ValueError: param_count must be a non-negative int, got 79.0"),
     ):
         path = tmp_path / "model.ckpt"
         save_checkpoint(make_checkpoint(), path)
@@ -103,6 +118,10 @@ def test_sidecar_metadata_written(tmp_path):
     sidecar = tmp_path / "model.ckpt.meta.json"
     assert sidecar.is_file()
     assert '"config_hash": "abc123"' in sidecar.read_text()
+    assert json.loads(sidecar.read_text())["network"] == {
+        "input_dim": 4, "class_count": 4, "feature_dims": [5, 3], "classifier_hidden": [],
+        "discriminator_hidden": [3],
+    }
 
 
 def test_save_rejects_params_that_disagree_with_the_spec(tmp_path):
@@ -159,4 +178,9 @@ def test_bad_magic_and_version(tmp_path):
     header = json.dumps({"format_version": 1, "array_count": 0}).encode("utf-8")
     path.write_bytes(b"RDCKPT01" + struct.pack("<I", len(header)) + header)
     with pytest.raises(CheckpointError, match="unsupported checkpoint version b'01'"):
+        load_checkpoint(path)
+    # format 2 nested the spec as three parts inside the same framing
+    save_checkpoint(make_checkpoint(), path)
+    path.write_bytes(b"RDCKPT02" + path.read_bytes()[len(MAGIC):])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version b'02'"):
         load_checkpoint(path)

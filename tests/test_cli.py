@@ -401,6 +401,7 @@ def test_gen_data_non_finite_gap_field_is_named(tmp_path, capsys, field, value):
     ("noise_scale", -1, "noise_scale must be >= 0, got -1"),
     ("class_mean_scale", -1.0, "class_mean_scale must be >= 0, got -1.0"),
     ("location_jitter", -0.5, "location_jitter must be >= 0, got -0.5"),
+    ("seed", -1, "seed must be >= 0, got -1"),
     ("noise_scale", math.nan, "noise_scale must be finite"),
     ("gap_rotation", math.inf, "gap_rotation must be finite"),
     ("gap_condition", math.inf, "gap_condition must be finite"),
@@ -425,7 +426,7 @@ def test_project_malformed_checkpoint_header_is_a_clean_error(tmp_path, capsys):
     original = ckpt.read_bytes()
 
     def wider_hidden(header):  # the parameter record no longer fits the spec
-        header["network"]["extractor"]["hidden_dims"] = [63]
+        header["network"]["feature_dims"] = [63, 32]
         return header
 
     for edit, reason in (

@@ -45,7 +45,8 @@ def test_spec_rejects_untrainable_split_sizes_and_wrong_types():
     # a whole epoch of training
     for name, value, low in (("val_count_per_class", 0, 1), ("test_count_per_class", 0, 1),
                              ("val_count_per_class", -3, 1), ("test_count_per_class", -3, 1),
-                             ("trans_locations_per_class", 0, 1), ("gap_noise_factor", -0.5, 0)):
+                             ("trans_locations_per_class", 0, 1), ("gap_noise_factor", -0.5, 0),
+                             ("seed", -1, 0)):
         with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {value}$"):
             tiny_gen_spec(**{name: value})
     tiny_gen_spec(val_count_per_class=1, test_count_per_class=1)
@@ -357,8 +358,7 @@ def test_csv_header_only_file_has_no_data_rows(tmp_path):
 
 def test_dataset_rejects_zero_rows():
     with pytest.raises(DataFormatError, match="^dataset has no rows$"):
-        Dataset(features=np.empty((0, 2)), class_ids=[], domains=[], location_ids=[], splits=[],
-                class_names=["class0", "class1"])
+        Dataset(features=np.empty((0, 2)), class_ids=[], domains=[], location_ids=[], splits=[])
 
 
 def test_splits_constant_matches_schema():

@@ -7,11 +7,11 @@ import pytest
 from raredapt import NonFiniteError, Network, comparison_table, evaluate, make_rng, table_row
 from raredapt.data import Dataset
 from raredapt.metrics import TABLE_COLUMNS
-from raredapt.network import MlpSpec, NetworkSpec
+from raredapt.network import NetworkSpec
 
 
 def zero_logit_net(d_in=4, k=3):
-    spec = NetworkSpec(MlpSpec(d_in, (), 3), MlpSpec(3, (), k), MlpSpec(3, (), 2))
+    spec = NetworkSpec(d_in, k, (3,), (), ())
     net = Network.initialize(spec, make_rng(0))
     for _, _, layer in net.parameters():
         layer.w[...] = 0.0
@@ -37,7 +37,6 @@ def handmade_dataset(counts_by_split):
         domains=np.array(domains),
         location_ids=np.array(locs),
         splits=np.array(splits),
-        class_names=["class0", "class1", "class2"],
     )
 
 
@@ -62,9 +61,7 @@ def test_always_predict_zero_classifier():
 
 def test_confusion_trace_equals_overall():
     ds = handmade_dataset(BASE_COUNTS)
-    net = Network.initialize(
-        NetworkSpec(MlpSpec(4, (5,), 3), MlpSpec(3, (), 3), MlpSpec(3, (), 2)), make_rng(3)
-    )
+    net = Network.initialize(NetworkSpec(4, 3, (5, 3), (), ()), make_rng(3))
     m = evaluate(net, ds, "trans_test", rare_class_id=2)
     assert m.overall == np.trace(m.confusion) / m.confusion.sum()
     assert np.array_equal(m.confusion.sum(axis=1), [4, 3, 2])
@@ -79,9 +76,7 @@ def test_confusion_trace_equals_overall():
 
 def test_macro_other_matches_brute_force():
     ds = handmade_dataset(BASE_COUNTS)
-    net = Network.initialize(
-        NetworkSpec(MlpSpec(4, (6,), 3), MlpSpec(3, (), 3), MlpSpec(3, (), 2)), make_rng(4)
-    )
+    net = Network.initialize(NetworkSpec(4, 3, (6, 3), (), ()), make_rng(4))
     m = evaluate(net, ds, "cis_test", rare_class_id=2)
     brute = np.mean([m.per_class_acc[c] for c in range(3) if c != 2])
     assert m.other_macro == pytest.approx(brute, abs=0)
@@ -97,11 +92,8 @@ def test_absent_class_excluded_from_macro():
 
 
 def test_evaluate_is_pure(tiny_dataset):
-    from raredapt import default_network_spec
-
-    net = Network.initialize(
-        default_network_spec(tiny_dataset.feature_dim, tiny_dataset.num_classes), make_rng(5)
-    )
+    spec = NetworkSpec(tiny_dataset.feature_dim, tiny_dataset.num_classes, (64, 32), (), (32,))
+    net = Network.initialize(spec, make_rng(5))
     a = evaluate(net, tiny_dataset, "cis_test")
     b = evaluate(net, tiny_dataset, "cis_test")
     assert np.array_equal(a.confusion, b.confusion)

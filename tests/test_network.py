@@ -8,7 +8,7 @@ from raredapt import (
     grl_backward,
     make_rng,
 )
-from raredapt.network import Layer, MlpSpec, NetworkSpec, default_network_spec
+from raredapt.network import Layer, NetworkSpec
 from raredapt.training import _Totals, _train_batch
 
 from conftest import batch_pair
@@ -16,25 +16,35 @@ from oracles import relative_error
 
 
 def small_spec():
-    return NetworkSpec(
-        extractor=MlpSpec(4, (5,), 3),
-        classifier=MlpSpec(3, (), 4),
-        discriminator=MlpSpec(3, (3,), 2),
-    )
+    return NetworkSpec(4, 4, (5, 3), (), (3,))
 
 
 def test_default_spec_shapes():
-    spec = default_network_spec(32, 8)
-    assert [l for l in spec.extractor.layer_dims] == [(32, 64), (64, 32)]
-    assert spec.classifier.layer_dims == [(32, 8)]
-    assert spec.discriminator.layer_dims == [(32, 32), (32, 2)]
+    cfg = TrainConfig(method="baseline")
+    spec = NetworkSpec(32, 8, cfg.feature_dims, cfg.classifier_hidden, cfg.discriminator_hidden)
+    assert spec.layer_dims("extractor") == [(32, 64), (64, 32)]
+    assert spec.layer_dims("classifier") == [(32, 8)]
+    assert spec.layer_dims("discriminator") == [(32, 32), (32, 2)]
+    assert spec.feature_dim == 32
+    assert spec.param_count == 33 * 64 + 65 * 32 + 33 * 8 + 33 * 32 + 33 * 2
 
 
-def test_spec_rejects_bad_wiring():
-    with pytest.raises(ValueError, match="classifier input"):
-        NetworkSpec(MlpSpec(4, (), 3), MlpSpec(5, (), 2), MlpSpec(3, (), 2))
-    with pytest.raises(ValueError, match="2 logits"):
-        NetworkSpec(MlpSpec(4, (), 3), MlpSpec(3, (), 2), MlpSpec(3, (), 3))
+def test_config_and_spec_reject_a_bad_architecture_in_the_same_words():
+    base = {"feature_dims": (4,), "classifier_hidden": (), "discriminator_hidden": ()}
+    for field, value, message in (
+        ("feature_dims", (), "feature_dims must be non-empty, got ()"),
+        ("classifier_hidden", (0,), "classifier_hidden must be all >= 1, got (0,)"),
+        ("discriminator_hidden", (-1,), "discriminator_hidden must be all >= 1, got (-1,)"),
+    ):
+        arch = {**base, field: value}
+        for build in (lambda: TrainConfig(method="baseline", **arch),
+                      lambda: NetworkSpec(3, 2, **arch)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        NetworkSpec(0, 0, (4,), (), ())
+    assert str(info.value) == "input_dim must be >= 1, got 0; class_count must be >= 1, got 0"
 
 
 def test_zero_weights_give_zero_features_and_logits():
@@ -50,7 +60,7 @@ def test_zero_weights_give_zero_features_and_logits():
 
 
 def test_single_identity_layer_passes_input_through():
-    spec = NetworkSpec(MlpSpec(3, (), 3), MlpSpec(3, (), 2), MlpSpec(3, (), 2))
+    spec = NetworkSpec(3, 2, (3,), (), ())
     net = Network.initialize(spec, make_rng(0))
     net.parts["extractor"][0].w = np.eye(3)
     net.parts["extractor"][0].b = np.zeros(3)

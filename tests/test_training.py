@@ -19,7 +19,7 @@ from raredapt import (
 )
 from raredapt.domains import ADVERSARIAL
 from raredapt.losses import DOMAIN_SOURCE, DOMAIN_TARGET
-from raredapt.network import MlpSpec, NetworkSpec
+from raredapt.network import NetworkSpec
 from raredapt.training import _Totals, _train_batch
 
 from conftest import (
@@ -33,7 +33,7 @@ from oracles import finite_diff_grad, relative_error
 
 
 def scalar_net():
-    spec = NetworkSpec(MlpSpec(1, (), 1), MlpSpec(1, (), 2), MlpSpec(1, (), 2))
+    spec = NetworkSpec(1, 2, (1,), (), ())
     return Network.initialize(spec, make_rng(0))
 
 
@@ -75,7 +75,7 @@ def test_adam_head_multiplier_applies_to_classifier_only():
 
 def test_adam_matches_straight_line_reimplementation():
     rng = make_rng(21)
-    spec = NetworkSpec(MlpSpec(3, (4,), 2), MlpSpec(2, (), 3), MlpSpec(2, (), 2))
+    spec = NetworkSpec(3, 3, (4, 2), (), ())
     net = Network.initialize(spec, rng)
     cfg = TrainConfig(method="baseline", learning_rate=3e-3, l2=0.01, beta1=0.9, beta2=0.999)
     opt = Adam(net, cfg)
@@ -124,7 +124,7 @@ def test_adam_aborts_on_non_finite_gradient():
 
 def test_adam_non_finite_gradient_leaves_state_untouched():
     rng = make_rng(5)
-    spec = NetworkSpec(MlpSpec(3, (4,), 2), MlpSpec(2, (), 3), MlpSpec(2, (3,), 2))
+    spec = NetworkSpec(3, 3, (4, 2), (), (3,))
     net = Network.initialize(spec, rng)
     opt = Adam(net, TrainConfig(method="baseline"))
     net.grads[...] = rng.standard_normal(net.grads.shape)
@@ -219,18 +219,21 @@ def test_train_mislabelled_batch_raises_plain_value_error():
     assert not isinstance(info.value, TrainingDiverged)
 
 
-@pytest.mark.parametrize("split, to, keep_rare, message", [
-    ("cis_val", "cis_test", False, "split 'cis_val' has no real samples"),
-    ("trans_val", "trans_test", True,
+@pytest.mark.parametrize("split, to, moved, message", [
+    ("cis_val", "cis_test", {}, "split 'cis_val' has no real samples"),
+    ("trans_val", "trans_test", {"keep_class": 3},
      "split 'trans_val' has no real samples outside rare class 3"),
+    ("trans_val", "trans_test", {"only_class": 3},
+     "split 'trans_val' has no real samples of rare class 3"),
 ])
 def test_train_rejects_a_split_it_cannot_evaluate_before_any_step(
-    tiny_dataset, monkeypatch, split, to, keep_rare, message
+    tiny_dataset, monkeypatch, split, to, moved, message
 ):
-    # evaluation needs every split, and selection trans_val's other classes;
-    # such a dataset is valid, so train() refuses it before the first step
-    keep = tiny_dataset.rare_class_id if keep_rare else None
-    dataset = rows_moved(tiny_dataset, split, to, keep_class=keep)
+    # evaluation needs every split, and selection trans_val's rare class and
+    # its other classes; such a dataset is valid, so train() refuses it
+    # before the first step
+    assert tiny_dataset.rare_class_id == 3
+    dataset = rows_moved(tiny_dataset, split, to, **moved)
 
     def no_step(*args):
         raise AssertionError("a step ran")
@@ -427,7 +430,7 @@ def step_instance(seed, config):
     """A micro net and a hand-built step input clear of ReLU kinks, or None."""
     net, rng = make_gradcheck_net(seed)
     n = int(rng.integers(3, 8))
-    d_in, k = net.spec.extractor.input_dim, net.spec.class_count
+    d_in, k = net.spec.input_dim, net.spec.class_count
     rare = k - 1
     xs, xt = rng.standard_normal((n, d_in)), rng.standard_normal((n, d_in))
     ys, yt = (np.where(rng.random(n) < 0.5, rare, rng.integers(0, k, n)) for _ in range(2))
