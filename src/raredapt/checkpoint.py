@@ -115,7 +115,7 @@ def load_checkpoint(path) -> Checkpoint:
     raw, pos = take(pos, header_len, "header")
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
@@ -128,7 +128,7 @@ def load_checkpoint(path) -> Checkpoint:
         epoch = _header_count(header, "epoch")
         config_hash = str(header["config_hash"])
         param_count = _header_count(header, "param_count")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
     if param_count != network_spec.param_count:
         raise CheckpointError(

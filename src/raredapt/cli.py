@@ -8,6 +8,11 @@ Subcommands wire the library end to end:
     raredapt compare   --runs dir1,dir2 --out dir
     raredapt project   --run dir --data data.csv --split s --out dir [...]
 
+gen-data writes two files: the dataset CSV and, beside it, its parsed cache
+``<out>.parsed.npz``, which train, sweep and project read instead of parsing
+the CSV while the cache still matches the CSV's bytes (see
+:func:`raredapt.data.load_csv`). The cache is safe to delete.
+
 Config files are JSON mirrors of the GenSpec / TrainConfig dataclasses; one
 builder makes either, and each flag given overrides the field its dest names.
 Choice flags take their choices from the library's tuples. Every subcommand is
@@ -35,7 +40,7 @@ An undefined (NaN) metric is an empty cell in sweep_<method>.csv and
 comparison.csv, null in JSON, and nan in history.csv.
 
 The sweep runs its cells in a process pool of min(--jobs, cells) workers;
-each worker parses the dataset CSV in its first cell and keeps it for the
+each worker loads the dataset CSV in its first cell and keeps it for the
 rest. An unreadable CSV ends the sweep with one error and no output
 directory. A malformed --counts/--seeds list or a --jobs below 1 is a usage
 error (exit 2): counts and seeds are non-negative ints, seeds distinct,
@@ -79,8 +84,9 @@ class CliError(RuntimeError):
 
 def _load_config_payload(path, cls) -> dict:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        # json_tuples recurses as deep as the parse, with two frames per level
+        payload = json_tuples(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise CliError(f"config {path} must be a JSON object")
@@ -88,7 +94,7 @@ def _load_config_payload(path, cls) -> dict:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise CliError(f"unknown {cls.__name__} field(s) in {path}: {', '.join(unknown)}")
-    return json_tuples(payload)
+    return payload
 
 
 def _build_config(cls, path, args, what: str):
@@ -204,7 +210,7 @@ def _single_thread_blas() -> None:
 
 @functools.lru_cache(maxsize=1)
 def _sweep_dataset(data_path: str) -> Dataset:
-    """The sweep's dataset, parsed by a worker's first cell and kept for the rest."""
+    """The sweep's dataset, loaded by a worker's first cell and kept for the rest."""
     return load_csv(data_path)
 
 
@@ -385,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate the benchmark CSV")
+    p = sub.add_parser("gen-data", help="generate the benchmark CSV and its parsed cache")
     p.add_argument("--spec", help="JSON generator spec (defaults used when omitted)")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", required=True,
+                   help="output CSV path; the parsed cache goes to <out>.parsed.npz")
     p.add_argument("--seed", type=int, help="override the spec seed")
     p.set_defaults(func=cmd_gen_data)
 

@@ -29,6 +29,16 @@ block, rounding exactly as ``float()`` does. Feature values with underscores
 (``1_0``), which ``float()`` accepts, are rejected; ``save_csv`` never writes
 them.
 
+Parsed cache: ``save_csv`` also writes ``<path>.parsed.npz``, the five
+``Dataset`` columns in numpy's ``.npz`` format plus the SHA-256 of the CSV
+bytes it wrote. ``load_csv`` builds the Dataset from that file instead of
+parsing the CSV only when it belongs to the CSV as it is now: the CSV's
+SHA-256 matches, and the arrays load without unpickling, have the expected
+names and dtypes, and pass ``Dataset`` validation. In every other case it
+parses the CSV, so the cache can make a load slower but never changes its
+result or its errors. The CSV stays the source of truth: the cache may be
+deleted at any time, and ``load_csv`` never writes one.
+
 Split/histogram semantics: "train" throughout this package means the *real*
 training samples; the synthetic pool is a separate population selected by
 domain. The two cached row selectors, ``Dataset.real_split_indices`` and
@@ -38,19 +48,25 @@ samples.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import zipfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import atomic_open, write_csv
 from .numerics import make_rng, require_fields, require_finite
 
 SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
 DOMAIN_TOKENS = ("real", "synthetic")
 SYNTHETIC_LOCATION = -1
 _META_COLUMNS = 4  # class_id, domain, location_id, split
+_COLUMNS = ("features", "class_ids", "domains", "location_ids", "splits")
+_CSV_SHA256 = "csv_sha256"
+_CACHE_KEYS = (_CSV_SHA256, *_COLUMNS)
 
 
 class DataFormatError(ValueError):
@@ -395,20 +411,87 @@ def expected_header(feature_dim: int) -> list[str]:
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write the documented CSV schema; floats use shortest round-trip repr."""
-    columns = (dataset.features, dataset.class_ids, dataset.domains, dataset.location_ids,
-               dataset.splits)
-    rows = ([*x.tolist(), *meta] for x, *meta in zip(*columns))
+    """Write the documented CSV schema, then its parsed cache ``<path>.parsed.npz``.
+
+    Floats use shortest round-trip repr. The cache holds the five columns as
+    ``load_csv``'s parse builds them and the SHA-256 of the CSV bytes just
+    written; both files are replaced atomically, the CSV first, so a cache
+    left from an earlier CSV no longer matches and is ignored.
+    """
+    arrays = {name: getattr(dataset, name) for name in _COLUMNS}
+    rows = ([*x.tolist(), *meta] for x, *meta in zip(*arrays.values()))
     write_csv(path, expected_header(dataset.feature_dim), rows)
+    arrays["features"] = np.ascontiguousarray(arrays["features"])
+    for name, tokens in (("domains", DOMAIN_TOKENS), ("splits", SPLITS)):
+        # the narrowest width that holds the tokens present, as np.array() of the cells gives
+        width = max(len(token) for token in tokens if token in arrays[name])
+        arrays[name] = arrays[name].astype(f"U{width}")
+    with atomic_open(cache_path(path), "wb") as fh:
+        np.savez(fh, **{_CSV_SHA256: np.array(_file_sha256(path))}, **arrays)
+
+
+def cache_path(path) -> Path:
+    """Where ``save_csv`` writes the parsed cache of the CSV at ``path``."""
+    return Path(f"{path}.parsed.npz")
+
+
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # 64 KiB reads hash as fast as 1 MiB ones, and repeated loads then
+        # leave the process with a lower peak RSS
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _load_cache(path) -> Dataset | None:
+    """The Dataset in the parsed cache of ``path`` if that cache belongs to the
+    CSV's current bytes and holds a valid Dataset, else None."""
+    cache = cache_path(path)
+    if not cache.is_file():
+        return None
+    try:
+        arrays = {}
+        with zipfile.ZipFile(cache) as npz:
+            if sorted(npz.namelist()) != sorted(f"{name}.npy" for name in _CACHE_KEYS):
+                return None
+            for name in _CACHE_KEYS:  # the hash first: a stale cache costs one small read
+                with npz.open(f"{name}.npy", mode="r") as member:
+                    arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+                    # zipfile checks a member's CRC-32 only once it is read to its end
+                    if member.read(1):
+                        return None
+                if name == _CSV_SHA256 and str(arrays.pop(name)) != _file_sha256(path):
+                    return None
+        numbers = (arrays["features"].dtype == np.float64
+                   and arrays["class_ids"].dtype == arrays["location_ids"].dtype == np.int64)
+        if not numbers or any(arrays[name].dtype.kind != "U" or not arrays[name].dtype.isnative
+                              for name in ("domains", "splits")):
+            return None  # Dataset would convert these, and the values could differ from the CSV's
+        return Dataset(**arrays)
+    except Exception:
+        # The cache is only a shortcut, so any failure to read it means "no
+        # cache" and the CSV parse decides. A damaged .npz fails in numpy or
+        # zipfile with more types than ValueError, BadZipFile and EOFError:
+        # a flipped header byte can raise tokenize.TokenError, a forged shape
+        # MemoryError. An unreadable CSV fails again, with its error, in the parse.
+        return None
 
 
 def load_csv(path) -> Dataset:
-    """Parse the CSV schema back into a Dataset, validating every invariant.
+    """Read the CSV schema back into a Dataset, validating every invariant.
 
-    One streaming pass over the file, which is never held in memory whole:
-    the header fixes the feature dimension, each data line's four metadata
-    cells are split off and checked in Python, and ``np.loadtxt`` parses the
-    feature block with the same correctly rounded conversion as ``float()``.
+    If ``<path>.parsed.npz`` exists, the file is hashed first (SHA-256, in
+    64 KiB chunks), and a cache that matches it and holds a valid Dataset is
+    returned without parsing the CSV; one that does not is ignored. The
+    result and every error below are the parse's either way.
+
+    The parse is one streaming pass over the file, which is never held in
+    memory whole: the header fixes the feature dimension, each data line's
+    four metadata cells are split off and checked in Python, and
+    ``np.loadtxt`` parses the feature block with the same correctly rounded
+    conversion as ``float()``.
     Feature values follow ``float()``'s grammar minus underscores (``1_0`` is
     rejected) and non-ASCII digits, neither of which ``save_csv`` writes.
 
@@ -421,6 +504,11 @@ def load_csv(path) -> Dataset:
     file with one fault reports that fault; in a file with several, the one
     reported need not be the first in file order.
     """
+    cached = _load_cache(path)
+    return cached if cached is not None else _parse_csv(path)
+
+
+def _parse_csv(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:

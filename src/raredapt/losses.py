@@ -63,7 +63,7 @@ def cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> LossValue:
     # true-class probability can underflow to exactly 0 for huge margins; the
     # resulting inf loss is the caller's divergence signal, not an error here
     with np.errstate(divide="ignore"):
-        value = float(-np.mean(np.log(probs[rows, labels])))
+        value = float(-(np.log(probs[rows, labels]).sum() / n))
     dlogits = probs.copy()
     dlogits[rows, labels] -= 1.0
     dlogits /= n

@@ -112,6 +112,18 @@ def test_malformed_header_fields_raise_checkpoint_error(tmp_path):
         assert str(path) in str(info.value) and reason in str(info.value)
 
 
+@pytest.mark.parametrize("depth", [100_000, 600])
+def test_header_nested_past_the_recursion_limit_raises_checkpoint_error(tmp_path, depth):
+    # 100,000 levels stop json.loads; 600 pass it and stop json_tuples, which
+    # takes two frames per level
+    header = b'{"format_version": 3, "network": {"feature_dims": ' + b"[" * depth + b"]" * depth
+    header += b"}}"
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(CheckpointError, match="maximum recursion depth exceeded"):
+        load_checkpoint(path)
+
+
 def test_sidecar_metadata_written(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(make_checkpoint(), path)

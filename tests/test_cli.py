@@ -11,10 +11,11 @@ from raredapt import cli, generate, save_checkpoint, save_csv
 from raredapt.checkpoint import MAGIC
 from raredapt.training import CORAL_LAYERS, DISCRIMINATOR_LABELS, TrainConfig, TrainingDiverged
 from raredapt.cli import main
+from raredapt.data import cache_path
 
 from conftest import rows_moved, tiny_gen_spec
 from test_checkpoint import make_checkpoint, rewrite_header
-from test_data import OUTSIZED_IDS, _write_tiny_with_cell
+from test_data import OUTSIZED_IDS, _write_tiny_with_cell, counting_parses
 
 
 def write_tiny_csv(tmp_path):
@@ -281,10 +282,16 @@ def test_train_on_data_with_no_other_class_in_trans_val_fails_before_training(tm
     ("[1, 2]", "config {path} must be a JSON object"),
     ('{"epochs": 1, "momentum": 0.9, "dropout": 0.1}',
      "unknown TrainConfig field(s) in {path}: dropout, momentum"),
+    pytest.param('{"epochs": "\xff"}'.encode("latin-1"),
+                 "cannot read config {path}: 'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
+    # 100,000 levels stop json.loads; 600 pass it and stop json_tuples
+    *(pytest.param('{"feature_dims": ' + "[" * depth + "]" * depth + "}",
+                   "cannot read config {path}: maximum recursion depth exceeded",
+                   id=f"nested-{depth}") for depth in (100_000, 600)),
 ])
 def test_train_config_file_errors_name_the_file(tmp_path, capsys, content, message):
     config = tmp_path / "train.json"
-    config.write_text(content, encoding="utf-8")
+    config.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     run = tmp_path / "run"
     capsys.readouterr()
     assert main(["train", "--data", str(tmp_path / "missing.csv"), "--method", "deerdann",
@@ -510,6 +517,18 @@ def test_gen_data_train_compare_project_end_to_end(tmp_path):
     assert (proj / "scatter_trans_test.csv").is_file()
     assert (proj / "scatter_trans_test.svg").is_file()
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_train_and_project_read_the_cache_gen_data_wrote(tmp_path):
+    data = write_tiny_csv(tmp_path)
+    assert cache_path(data).is_file()
+    run = tmp_path / "run"
+    with counting_parses() as parses:
+        assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
+                     "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 0
+        assert main(["project", "--run", str(run), "--data", str(data), "--split", "trans_test",
+                     "--out", str(tmp_path / "proj")]) == 0
+    assert parses.call_count == 0
 
 
 def test_project_truncated_checkpoint_is_a_clean_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raredapt import GenSpec, class_histogram, datasets_equal, generate, load_csv, save_csv
-from raredapt.data import DataFormatError, SPLITS, Dataset, _parses_as_numpy_float, synthetic_map
+from raredapt.data import (
+    DataFormatError, SPLITS, Dataset, _parses_as_numpy_float, cache_path, synthetic_map
+)
 
 from conftest import tiny_gen_spec
 
@@ -277,9 +280,12 @@ def test_csv_round_trips_any_finite_double_bit_for_bit(tmp_path_factory, values)
     base = load_csv(tmp / "tiny.csv")
     ds = dataclasses.replace(base, features=np.array(values).reshape(base.features.shape))
     save_csv(ds, tmp / "a.csv")
+    cached = load_csv(tmp / "a.csv")
+    cache_path(tmp / "a.csv").unlink()
     loaded = load_csv(tmp / "a.csv")
-    assert np.array_equal(loaded.features.view(np.uint64), ds.features.view(np.uint64))
-    assert datasets_equal(loaded, ds)
+    for read in (cached, loaded):
+        assert np.array_equal(read.features.view(np.uint64), ds.features.view(np.uint64))
+        assert datasets_equal(read, ds)
     save_csv(loaded, tmp / "b.csv")
     assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
 
@@ -363,3 +369,135 @@ def test_dataset_rejects_zero_rows():
 
 def test_splits_constant_matches_schema():
     assert SPLITS == ("train", "cis_val", "cis_test", "trans_val", "trans_test")
+
+
+def counting_parses():
+    """Spy on np.loadtxt, which only the CSV parse of ``load_csv`` calls."""
+    return mock.patch.object(np, "loadtxt", wraps=np.loadtxt)
+
+
+COLUMNS = ("features", "class_ids", "domains", "location_ids", "splits")
+SMALL_SPECS = st.builds(
+    lambda k, d, rare, pool, seed: tiny_gen_spec(
+        class_count=k, feature_dim=d, rare_class_id=k - 1, train_counts=(12,) * (k - 1) + (rare,),
+        val_count_per_class=3, test_count_per_class=4, synthetic_pool_size=pool, seed=seed),
+    st.integers(2, 4), st.integers(2, 5), st.integers(1, 12), st.integers(0, 30),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=SMALL_SPECS)
+def test_cache_hit_equals_the_parse_dtype_for_dtype(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("cache") / "data.csv"
+    ds = generate(spec)
+    # wider strings than the cells need: the parse gives the narrowest width
+    save_csv(dataclasses.replace(ds, domains=ds.domains.astype("U16"),
+                                 splits=ds.splits.astype("U16")), path)
+    with counting_parses() as parses:
+        hit = load_csv(path)
+    assert parses.call_count == 0
+    cache_path(path).unlink()
+    parsed = load_csv(path)
+    assert datasets_equal(hit, ds) and datasets_equal(hit, parsed)
+    for name in COLUMNS:
+        assert getattr(hit, name).dtype == getattr(parsed, name).dtype, name
+    assert (hit.num_classes, hit.rare_class_id) == (parsed.num_classes, parsed.rare_class_id)
+
+
+def test_stale_cache_falls_back_to_the_parse(tmp_path):
+    first = generate(tiny_gen_spec(synthetic_pool_size=20))
+    second = generate(tiny_gen_spec(synthetic_pool_size=20, seed=1))
+    path = tmp_path / "data.csv"
+    save_csv(first, path)
+    first_cache = cache_path(path).read_bytes()
+    # another CSV saved at the same path, beside the first one's cache
+    save_csv(second, path)
+    cache_path(path).write_bytes(first_cache)
+    with counting_parses() as parses:
+        assert datasets_equal(load_csv(path), second)
+    assert parses.call_count == 1
+    # the CSV edited after the save
+    save_csv(first, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = "0.5," + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with counting_parses() as parses:
+        loaded = load_csv(path)
+    assert parses.call_count == 1
+    assert loaded.features[0, 0] == 0.5 and not datasets_equal(loaded, first)
+
+
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append("unpickled")
+
+
+class _Tripwire:
+    """Unpickling this object records it in TRIPPED."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def _shift_features(blob: bytes) -> bytes:
+    """Shorten the .npy header length of the features member by 16 bytes, so
+    numpy would read the array 16 bytes early and stop short of the member's end."""
+    at = blob.index(b"\x93NUMPY", blob.index(b"features.npy")) + 8
+    (length,) = struct.unpack("<H", blob[at : at + 2])
+    return blob[:at] + struct.pack("<H", length - 16) + blob[at + 2 :]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "key missing", "object array", "shifted",
+                                    "float32 features", "a bare .npy"])
+def test_damaged_cache_falls_back_to_the_parse(tmp_path, damage):
+    ds = generate(tiny_gen_spec(synthetic_pool_size=20))
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    cache = cache_path(path)
+    blob = cache.read_bytes()
+    with np.load(cache) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for cut in ((0, 30, len(blob) // 2, len(blob) - 1) if damage == "truncated" else (None,)):
+        if damage == "truncated":
+            cache.write_bytes(blob[:cut])
+        elif damage == "key missing":
+            np.savez(cache, **{k: v for k, v in arrays.items() if k != "location_ids"})
+        elif damage == "object array":
+            features = ds.features.astype(object)
+            features[0, 0] = _Tripwire()
+            np.savez(cache, **{**arrays, "features": features})
+        elif damage == "shifted":
+            cache.write_bytes(_shift_features(blob))
+        elif damage == "float32 features":  # Dataset would widen them to other values
+            np.savez(cache, **{**arrays, "features": ds.features.astype(np.float32)})
+        else:
+            with open(cache, "wb") as fh:
+                np.save(fh, ds.features)
+        with counting_parses() as parses:
+            loaded = load_csv(path)
+        assert parses.call_count == 1, cut
+        assert datasets_equal(loaded, ds)
+    assert TRIPPED == []
+
+
+def test_bad_csv_beside_a_cache_gives_the_parse_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    save_csv(generate(tiny_gen_spec(synthetic_pool_size=20)), path)
+    _write_tiny_with_cell(path, 1, "abc")
+    assert cache_path(path).is_file()
+    reason = "line 7: could not convert string to float: 'abc'"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+        load_csv(path)
+
+
+def test_save_csv_writes_the_same_cache_bytes_every_time(tmp_path):
+    ds = generate(tiny_gen_spec(synthetic_pool_size=20))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_csv(ds, a)
+    first = cache_path(a).read_bytes()
+    save_csv(ds, a)
+    save_csv(load_csv(a), b)
+    assert cache_path(a).read_bytes() == first == cache_path(b).read_bytes()
