@@ -286,6 +286,23 @@ class Dataset:
         return idx
 
 
+def _gap_field(spec: GenSpec, name: str, shape: tuple[int, ...], text: str) -> np.ndarray:
+    """``spec.<name>`` as a finite float64 array of ``shape``, or one ValueError
+    ``<name> must <text>, got …`` (or ``<name> must be finite``) naming it."""
+    try:
+        arr = np.asarray(getattr(spec, name))
+    except ValueError:  # ragged, or nested past numpy's dimension limit
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must {text}, got a ragged or non-numeric value")
+    if arr.shape != shape:
+        raise ValueError(f"{name} must {text}, got {arr.shape}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def synthetic_map(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """Resolve the affine gap (A, b) and the synthetic render-noise scale.
 
@@ -305,11 +322,7 @@ def synthetic_map(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, float]:
     direction /= np.linalg.norm(direction)
 
     if spec.gap_matrix is not None:
-        a = np.asarray(spec.gap_matrix, dtype=np.float64)
-        if a.shape != (d, d):
-            raise ValueError(f"gap_matrix must be {d}x{d}, got {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("gap_matrix must be finite")
+        a = _gap_field(spec, "gap_matrix", (d, d), f"be {d}x{d}")
     else:
         theta = spec.gap_rotation
         eye = np.eye(d)
@@ -323,11 +336,7 @@ def synthetic_map(spec: GenSpec) -> tuple[np.ndarray, np.ndarray, float]:
         a = rot @ np.diag(spread)
 
     if spec.gap_offset_vector is not None:
-        b = np.asarray(spec.gap_offset_vector, dtype=np.float64)
-        if b.shape != (d,):
-            raise ValueError(f"gap_offset_vector must have length {d}, got {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError("gap_offset_vector must be finite")
+        b = _gap_field(spec, "gap_offset_vector", (d,), f"have length {d}")
     else:
         separation_unit = spec.class_mean_scale * np.sqrt(2.0 * d)
         b = direction * spec.gap_offset * separation_unit
@@ -340,6 +349,10 @@ def generate(spec: GenSpec) -> Dataset:
     Per-class location means are class mean plus jitter; train/cis samples use
     the first locations, trans samples the held-out ones. The rare class's
     synthetic pool maps fresh class-level draws through the affine gap.
+
+    Every row is drawn into its place in one preallocated feature array and
+    finished there in place, in the operation order of ``loc + noise * scale``
+    and ``(scene @ A.T + b) + noise``, so the values are those expressions'.
     """
     k, d = spec.class_count, spec.feature_dim
     counts = spec.resolved_train_counts()
@@ -364,7 +377,10 @@ def generate(spec: GenSpec) -> Dataset:
         "trans_val": (spec.val_count_per_class,) * k,
         "trans_test": (spec.test_count_per_class,) * k,
     }
-    feats, classes, domains, locations, splits = [], [], [], [], []
+    p = spec.synthetic_pool_size
+    features = np.empty((sum(map(sum, split_counts.values())) + p, d))
+    classes, domains, locations, splits = [], [], [], []
+    at = 0
     for c in range(k):
         for split in SPLITS:
             n = split_counts[split][c]
@@ -372,25 +388,31 @@ def generate(spec: GenSpec) -> Dataset:
                 local = n_cis + sample_rng.integers(0, spec.trans_locations_per_class, n)
             else:
                 local = sample_rng.integers(0, n_cis, n)
-            x = loc_means[c, local] + sample_rng.standard_normal((n, d)) * spec.noise_scale
-            feats.append(x)
+            x = sample_rng.standard_normal(out=features[at : at + n])
+            x *= spec.noise_scale
+            x += loc_means[c, local]
+            at += n
             classes.append(np.full(n, c))
             domains.append(np.full(n, "real"))
             locations.append(c * n_loc + local)
             splits.append(np.full(n, split))
 
-    p = spec.synthetic_pool_size
     if p > 0:
-        scene = class_means[spec.rare_class_id] + syn_rng.standard_normal((p, d)) * spec.location_jitter
-        x = scene @ gap_a.T + gap_b + syn_rng.standard_normal((p, d)) * syn_noise
-        feats.append(x)
+        scene = syn_rng.standard_normal((p, d))
+        scene *= spec.location_jitter
+        scene += class_means[spec.rare_class_id]
+        x = np.matmul(scene, gap_a.T, out=features[at:])
+        x += gap_b
+        noise = syn_rng.standard_normal(out=scene)  # scene is used up
+        noise *= syn_noise
+        x += noise
         classes.append(np.full(p, spec.rare_class_id))
         domains.append(np.full(p, "synthetic"))
         locations.append(np.full(p, SYNTHETIC_LOCATION))
         splits.append(np.full(p, "train"))
 
     return Dataset(
-        features=np.concatenate(feats),
+        features=features,
         class_ids=np.concatenate(classes),
         domains=np.concatenate(domains),
         location_ids=np.concatenate(locations),

@@ -48,7 +48,8 @@ class CoralValue:
 def cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> LossValue:
     """Mean negative log softmax-probability of the true class.
 
-    Gradient w.r.t. logits is (softmax - onehot) / n.
+    Gradient w.r.t. logits is (softmax - onehot) / n, computed in place in
+    the softmax array once the loss value has been read from it.
     """
     n, k = logits.shape
     if n < 1 or k < 2:
@@ -64,10 +65,9 @@ def cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> LossValue:
     # resulting inf loss is the caller's divergence signal, not an error here
     with np.errstate(divide="ignore"):
         value = float(-(np.log(probs[rows, labels]).sum() / n))
-    dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
-    dlogits /= n
-    return LossValue(value=value, dlogits=dlogits)
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return LossValue(value=value, dlogits=probs)
 
 
 def domain_confusion(logits: np.ndarray, domain_labels: Sequence[int]) -> LossValue:

@@ -10,6 +10,14 @@ data, which has no gradient to take, so its ``backward`` skips that last
 product and returns ``None``. Backprop is written out by hand; every gradient
 in here is validated against central finite differences in the test suite.
 
+Each layer's forward pass allocates one array, its output: the product
+``a @ w``, to which the bias is added and the ReLU applied in place. A trace
+keeps the part's input and those outputs only. The ReLU gate of the backward
+pass reads the activation, which is positive exactly where the
+pre-activation was, so no pre-activation needs keeping. Evaluation and
+projection forward thousands of rows at once, and there the temporaries,
+not Python overhead, set both time and peak memory.
+
 Forward and backward check shapes only: an input must be a 2-D float array
 of the part's input width, and an upstream gradient must match the part's
 output. Values are not scanned. Inputs come from a ``Dataset``, which checked
@@ -103,13 +111,14 @@ class Layer:
 
 @dataclass
 class PartTrace:
-    """Cached forward pass of one part: input, pre-activations, activations.
+    """Cached forward pass of one part: its input and each layer's output.
 
-    Enough to run exact backprop without re-running the forward pass.
+    Enough to run exact backprop without re-running the forward pass. No
+    pre-activation is kept: the ReLU gate reads the activation, since
+    ``max(z, 0) > 0`` exactly when ``z > 0`` (a NaN fails both).
     """
 
     x: np.ndarray
-    pre: list[np.ndarray]
     act: list[np.ndarray]
 
     @property
@@ -182,17 +191,15 @@ class Network:
         if x.ndim != 2 or x.shape[1] != fan_in:
             raise ValueError(f"{name} expects input dim {fan_in}, got shape {x.shape}")
         activate_last = _activates_last(name)
-        pre, act = [], []
+        act = []
         a = x
         for i, layer in enumerate(layers):
-            z = a @ layer.w + layer.b
-            pre.append(z)
+            a = a @ layer.w
+            a += layer.b
             if activate_last or i < len(layers) - 1:
-                a = np.maximum(z, 0.0)
-            else:
-                a = z
+                np.maximum(a, 0.0, out=a)
             act.append(a)
-        return PartTrace(x=x, pre=pre, act=act)
+        return PartTrace(x=x, act=act)
 
     def forward_features(self, x: np.ndarray) -> tuple[np.ndarray, PartTrace]:
         trace = self._forward_part("extractor", x)
@@ -224,7 +231,7 @@ class Network:
         g = dout
         for i in reversed(range(len(layers))):
             if activate_last or i < len(layers) - 1:
-                g = g * (trace.pre[i] > 0.0).astype(np.float64)
+                g = g * (trace.act[i] > 0.0).astype(np.float64)
             inp = trace.act[i - 1] if i > 0 else trace.x
             layers[i].gw += inp.T @ g
             layers[i].gb += g.sum(axis=0)

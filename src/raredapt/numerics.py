@@ -101,8 +101,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
     Rows of the result are positive and sum to 1 (within 1e-9); the output is
     invariant under adding a constant to a row. The input is not checked: it
-    must be a finite 2-D float array.
+    must be a finite 2-D float array. One n x k array is allocated, the
+    result; the exponential and the normalisation run in place in it.
     """
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    exp = logits - logits.max(axis=1, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=1, keepdims=True)
+    return exp

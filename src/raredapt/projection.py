@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_csv, write_text
+from .artifacts import atomic_open, write_csv
 from .data import Dataset
 from .network import Network
 from .numerics import make_rng
@@ -111,8 +111,11 @@ def export_scatter(proj: ProjectedFeatures, prefix) -> tuple[str, str]:
     svg_path = f"{prefix}.svg"
     xs = proj.coords[:, 0]
     ys = proj.coords[:, 1] if proj.coords.shape[1] > 1 else np.zeros_like(xs)
-    columns = (xs, ys, proj.class_ids, proj.domains, proj.splits, proj.correct.astype(np.int64))
-    write_csv(csv_path, ("x", "y", "class_id", "domain", "split", "correct"), zip(*columns))
+    # Python values, which format faster than numpy scalars and the same way
+    labels = [a.tolist() for a in (proj.class_ids, proj.domains, proj.splits,
+                                   proj.correct.astype(np.int64))]
+    write_csv(csv_path, ("x", "y", "class_id", "domain", "split", "correct"),
+              zip(xs.tolist(), ys.tolist(), *labels))
 
     size, margin = 640, 48
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -120,26 +123,26 @@ def export_scatter(proj: ProjectedFeatures, prefix) -> tuple[str, str]:
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     inner = size - 2 * margin
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<rect x="{margin}" y="{margin}" width="{inner}" height="{inner}" '
-        'fill="none" stroke="#999999"/>',
-    ]
-    for x, y, class_id, domain, split, correct in zip(*columns):
-        px = margin + inner * (float(x) - x_lo) / x_span
-        py = margin + inner * (1.0 - (float(y) - y_lo) / y_span)
-        color = _PALETTE[int(class_id) % len(_PALETTE)]
-        r = 4.0 if correct else 2.0
-        stroke = ' stroke="black" stroke-width="1"' if domain == "synthetic" else ""
-        opacity = 0.9 if str(split).startswith("trans") else 0.45
-        parts.append(
-            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{r}" fill="{color}" '
-            f'fill-opacity="{opacity}"{stroke}/>'
+    px = margin + inner * (xs - x_lo) / x_span
+    py = margin + inner * (1.0 - (ys - y_lo) / y_span)
+    with atomic_open(svg_path) as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">\n'
+            f'<rect width="{size}" height="{size}" fill="white"/>\n'
+            f'<rect x="{margin}" y="{margin}" width="{inner}" height="{inner}" '
+            'fill="none" stroke="#999999"/>\n'
         )
-    parts.append("</svg>")
-    write_text(svg_path, "\n".join(parts) + "\n")
+        for x, y, class_id, domain, split, correct in zip(px.tolist(), py.tolist(), *labels):
+            color = _PALETTE[class_id % len(_PALETTE)]
+            r = 4.0 if correct else 2.0
+            stroke = ' stroke="black" stroke-width="1"' if domain == "synthetic" else ""
+            opacity = 0.9 if split.startswith("trans") else 0.45
+            fh.write(
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{color}" '
+                f'fill-opacity="{opacity}"{stroke}/>\n'
+            )
+        fh.write("</svg>\n")
     return csv_path, svg_path
 
 

@@ -71,8 +71,16 @@ def make_gradcheck_net(seed: int) -> tuple[Network, np.random.Generator]:
     return net, rng
 
 
-def trace_clear_of_kinks(*traces, margin: float = KINK_MARGIN) -> bool:
-    return all(np.abs(z).min() >= margin for tr in traces if tr is not None for z in tr.pre)
+def trace_clear_of_kinks(net, *part_traces, margin: float = KINK_MARGIN) -> bool:
+    """True if every pre-activation of each ``(part, trace)`` of ``net`` is at
+    least ``margin`` from 0. A trace keeps no pre-activation, so each one is
+    recomputed as ``input @ w + b`` from the layer's input, as the forward
+    pass computes it."""
+    return all(
+        np.abs(inp @ layer.w + layer.b).min() >= margin
+        for part, tr in part_traces
+        for layer, inp in zip(net.parts[part], [tr.x, *tr.act[:-1]])
+    )
 
 
 def batch_pair(method, rare_class_id, xs, ys, xt=None, yt=None):

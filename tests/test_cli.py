@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -18,14 +19,29 @@ from test_checkpoint import make_checkpoint, rewrite_header
 from test_data import OUTSIZED_IDS, _write_tiny_with_cell, counting_parses
 
 
-def write_tiny_csv(tmp_path):
+def write_tiny_spec(tmp_path, **fields):
+    """The tiny spec as a ``gen-data --spec`` file, ``fields`` written over it."""
     spec = tmp_path / "spec.json"
     payload = {k: list(v) if isinstance(v, tuple) else v
                for k, v in dataclasses.asdict(tiny_gen_spec()).items()}
-    spec.write_text(json.dumps(payload), encoding="utf-8")
+    spec.write_text(json.dumps({**payload, **fields}), encoding="utf-8")
+    return spec
+
+
+def write_tiny_csv(tmp_path):
     data = tmp_path / "data.csv"
-    assert main(["gen-data", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["gen-data", "--spec", str(write_tiny_spec(tmp_path)), "--out", str(data)]) == 0
     return data
+
+
+def gen_data_error(tmp_path, capsys, **fields) -> str:
+    """Run ``gen-data`` on the tiny spec with ``fields`` written over it; expect
+    exit 1 and no output file, return stderr."""
+    spec, out = write_tiny_spec(tmp_path, **fields), tmp_path / "data.csv"
+    capsys.readouterr()
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
 
 
 def sweep_argv(data, out, seeds="0,1", jobs=1, counts="0,50"):
@@ -370,15 +386,30 @@ def test_choice_flags_offer_exactly_the_config_values(capsys, flag, field, choic
 
 
 def test_gen_data_scalar_gap_matrix_is_a_clean_error(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    payload = {k: list(v) if isinstance(v, tuple) else v
-               for k, v in dataclasses.asdict(tiny_gen_spec()).items()}
-    spec.write_text(json.dumps({**payload, "gap_matrix": 5}), encoding="utf-8")
-    out = tmp_path / "data.csv"
-    capsys.readouterr()
-    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: gap_matrix must be 8x8, got ()\n"
-    assert not out.exists()
+    err = gen_data_error(tmp_path, capsys, gap_matrix=5)
+    assert err == "error: gap_matrix must be 8x8, got ()\n"
+
+
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("gap_matrix", [[1.0] * 8] * 7 + [[1.0] * 7], "be 8x8", id="ragged"),
+    pytest.param("gap_matrix", [[1.0] * 8] * 7 + [["1.0"] * 8], "be 8x8", id="string"),
+    pytest.param("gap_matrix", [[1.0] * 8] * 7 + [[None] * 8], "be 8x8", id="null"),
+    pytest.param("gap_matrix", [[1.0] * 8] * 7 + [[{"a": 1}] * 8], "be 8x8", id="object"),
+    # deeper than numpy's 64 dimensions
+    pytest.param("gap_matrix", nested(1.0, 70), "be 8x8", id="too-deep"),
+    pytest.param("gap_offset_vector", [0.0] * 7 + [[0.0]], "have length 8", id="ragged-vector"),
+    pytest.param("gap_offset_vector", [True] * 8, "have length 8", id="bool-vector"),
+])
+def test_gen_data_ragged_or_non_numeric_gap_field_is_named(tmp_path, capsys, field, value,
+                                                           message):
+    err = gen_data_error(tmp_path, capsys, **{field: value})
+    assert err == f"error: {field} must {message}, got a ragged or non-numeric value\n"
 
 
 @pytest.mark.parametrize("field, value", [
@@ -386,15 +417,7 @@ def test_gen_data_scalar_gap_matrix_is_a_clean_error(tmp_path, capsys):
     ("gap_offset_vector", [0.0] * 7 + [math.inf]),
 ])
 def test_gen_data_non_finite_gap_field_is_named(tmp_path, capsys, field, value):
-    spec = tmp_path / "spec.json"
-    payload = {k: list(v) if isinstance(v, tuple) else v
-               for k, v in dataclasses.asdict(tiny_gen_spec()).items()}
-    spec.write_text(json.dumps({**payload, field: value}), encoding="utf-8")
-    out = tmp_path / "data.csv"
-    capsys.readouterr()
-    assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {field} must be finite\n"
-    assert not out.exists()
+    assert gen_data_error(tmp_path, capsys, **{field: value}) == f"error: {field} must be finite\n"
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -517,6 +540,26 @@ def test_gen_data_train_compare_project_end_to_end(tmp_path):
     assert (proj / "scatter_trans_test.csv").is_file()
     assert (proj / "scatter_trans_test.svg").is_file()
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# SHA-256 of each file ``project`` writes for a 2-epoch baseline run on the
+# tiny data: pins the forward pass, the PCA and both writers' formatting
+PROJECT_GOLDEN = {
+    "projection.json": "d7954c1da52fa63f7343a23857e668b4b6990066e6dfb04088ebf0c6eaf29515",
+    "scatter_trans_test.csv": "68c96b7d44095c086641b9fc492cced19e7ed9c8e9c1f8fca0afd15025dbd197",
+    "scatter_trans_test.svg": "e024d6df842f373b66ed34fefa5e3b6cc418bf29dda81fea605d9fab537eba2d",
+}
+
+
+def test_project_output_matches_its_golden_digests(tmp_path):
+    data = write_tiny_csv(tmp_path)
+    run, proj = tmp_path / "run", tmp_path / "proj"
+    assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
+                 "--epochs", "2", "--batch-size", "32", "--synthetic-count", "60"]) == 0
+    assert main(["project", "--run", str(run), "--data", str(data), "--split", "trans_test",
+                 "--include-synthetic", "--out", str(proj)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in proj.iterdir()}
+    assert digests == PROJECT_GOLDEN
 
 
 def test_train_and_project_read_the_cache_gen_data_wrote(tmp_path):

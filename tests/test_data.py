@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import struct
 from unittest import mock
@@ -175,6 +176,15 @@ def test_csv_round_trip_identity(tmp_path):
     save_csv(ds, path)
     loaded = load_csv(path)
     assert datasets_equal(ds, loaded)
+
+
+def test_generated_csv_matches_its_golden_digest(tmp_path):
+    # pins the generator's draw order and the order of its arithmetic
+    path = tmp_path / "data.csv"
+    save_csv(generate(tiny_gen_spec()), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ec7192b633cd167168364c1de1657a98ced4d2d4d9cc5c32e51afbf203262a9e"
+    )
 
 
 def test_csv_resave_byte_identical(tmp_path):

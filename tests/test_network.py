@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,15 @@ from raredapt import (
     Network,
     TrainConfig,
     cross_entropy,
+    evaluate,
+    generate,
     grl_backward,
     make_rng,
 )
 from raredapt.network import Layer, NetworkSpec
 from raredapt.training import _Totals, _train_batch
 
-from conftest import batch_pair
+from conftest import batch_pair, tiny_gen_spec
 from oracles import relative_error
 
 
@@ -189,3 +193,33 @@ def test_backward_rejects_wrong_upstream_shape():
     with pytest.raises(ValueError, match=r"extractor upstream gradient shape \(4, 2\)"):
         net.backward("extractor", tr_f, np.ones((4, 2)))
     assert not net.grads.any()
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_batch_forwards_allocate_little_beyond_their_activations():
+    # each layer allocates its output and nothing else, and a trace keeps the
+    # outputs only, so a forward pass peaks at the activations it returns; an
+    # evaluation peaks at its input rows, the extractor activations and the
+    # logits. A kept pre-activation or a per-layer temporary doubles this.
+    slack = 128 * 1024
+    spec = NetworkSpec(8, 4, (64, 32), (), (32,))
+    net = Network.initialize(spec, make_rng(19))
+    x = make_rng(20).standard_normal((4000, 8))
+    (_, trace), peak = traced_peak(lambda: net.forward_features(x))
+    assert peak <= sum(a.nbytes for a in trace.act) + slack
+
+    dataset = generate(tiny_gen_spec(test_count_per_class=1000))
+    rows = dataset.real_split_indices["trans_test"].size
+    assert rows == 4000
+    _, peak = traced_peak(lambda: evaluate(net, dataset, "trans_test"))
+    assert peak <= rows * (8 + 64 + 32 + 4) * 8 + slack

@@ -407,23 +407,23 @@ def test_provenance_discriminator_labels_change_dynamics(tiny_dataset):
 
 def step_terms(net, rows, pair, config):
     """The step's loss terms by plain forward passes: L_C, the alignment term
-    (L_D or L_coral), and every trace, for the kink check."""
+    (L_D or L_coral), and every ``(part, trace)`` pair, for the kink check."""
     f_s, tr_fs = net.forward_features(rows.features[pair.source])
     f_t, tr_ft = net.forward_features(rows.features[pair.target])
     logits_s, tr_cs = net.forward_classifier(f_s)
     lc = cross_entropy(logits_s, rows.class_ids[pair.source]).value
-    traces = [tr_fs, tr_ft, tr_cs]
+    traces = [("extractor", tr_fs), ("extractor", tr_ft), ("classifier", tr_cs)]
     if config.method == "deercoral":
         if config.coral_layer == "features":
             return lc, coral_loss(f_s, f_t).value, traces
         logits_t, tr_ct = net.forward_classifier(f_t)
-        return lc, coral_loss(logits_s, logits_t).value, traces + [tr_ct]
+        return lc, coral_loss(logits_s, logits_t).value, traces + [("classifier", tr_ct)]
     rs, rt = pair.routed_source_rows, pair.routed_target_rows
     d_s, tr_ds = net.forward_discriminator(f_s[rs])
     d_t, tr_dt = net.forward_discriminator(f_t[rt])
     labels = np.repeat([DOMAIN_SOURCE, DOMAIN_TARGET], [rs.size, rt.size])
     ld = domain_confusion(np.vstack([d_s, d_t]), labels).value
-    return lc, ld, traces + [tr for tr in (tr_ds, tr_dt) if tr.x.shape[0]]
+    return lc, ld, traces + [("discriminator", tr) for tr in (tr_ds, tr_dt) if tr.x.shape[0]]
 
 
 def step_instance(seed, config):
@@ -438,7 +438,7 @@ def step_instance(seed, config):
     adversarial = config.method in ADVERSARIAL
     if adversarial and pair.routed_source_rows.size + pair.routed_target_rows.size == 0:
         return None
-    if not trace_clear_of_kinks(*step_terms(net, rows, pair, config)[2]):
+    if not trace_clear_of_kinks(net, *step_terms(net, rows, pair, config)[2]):
         return None
     return net, rows, pair
 
