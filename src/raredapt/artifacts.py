@@ -13,6 +13,7 @@ form (NaN as ``nan``).
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 from pathlib import Path
@@ -21,10 +22,14 @@ from pathlib import Path
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
     """Yield a file for ``path`` in mode "w" (UTF-8, ``\\n`` line ends) or "wb"
-    that replaces ``path`` on a clean exit; parent directories are created."""
+    that replaces ``path`` on a clean exit; parent directories are created.
+    A ``path`` that is a directory, or names none (``""``, ``.``, ``..``), raises
+    IsADirectoryError naming it before anything is made."""
     if mode not in ("w", "wb"):
         raise ValueError(f"mode must be 'w' or 'wb', got {mode!r}")
     path = Path(path)
+    if path.name in ("", "..") or path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     # beside the target, so os.replace stays on one filesystem; a plain open()
     # lets the umask set the file mode, as writing in place would

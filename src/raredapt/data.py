@@ -34,16 +34,18 @@ Parsed cache: ``save_csv`` also writes ``<path>.parsed.npz``, the five
 bytes it wrote. ``load_csv`` builds the Dataset from that file instead of
 parsing the CSV only when it belongs to the CSV as it is now: the CSV's
 SHA-256 matches, and the arrays load without unpickling, have the expected
-names and dtypes, and pass ``Dataset`` validation. In every other case it
-parses the CSV, so the cache can make a load slower but never changes its
-result or its errors. The CSV stays the source of truth: the cache may be
-deleted at any time, and ``load_csv`` never writes one.
+names, are arrays ``Dataset`` takes as they are (each already of its column's
+dtype, in native byte order, so nothing is converted), and pass ``Dataset``
+validation. In every other case it parses the CSV, so the cache can make a
+load slower but never changes its result or its errors. The CSV stays the
+source of truth: the cache may be deleted at any time, and ``load_csv`` never
+writes one.
 
 Split/histogram semantics: "train" throughout this package means the *real*
 training samples; the synthetic pool is a separate population selected by
-domain. The two cached row selectors, ``Dataset.real_split_indices`` and
-``synthetic_indices``, cover every row once; ``class_histogram`` counts real
-samples.
+domain. The two row selectors, ``Dataset.real_split_indices`` and
+``synthetic_indices``, are computed by ``Dataset.validate`` when the Dataset is
+built and cover every row once; ``class_histogram`` counts real samples.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ import hashlib
 import itertools
 import zipfile
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,10 @@ SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
 DOMAIN_TOKENS = ("real", "synthetic")
 SYNTHETIC_LOCATION = -1
 _META_COLUMNS = 4  # class_id, domain, location_id, split
-_COLUMNS = ("features", "class_ids", "domains", "location_ids", "splits")
+# Each Dataset column and the dtype it is stored in
+_DTYPES = {"features": np.float64, "class_ids": np.int64, "domains": np.str_,
+           "location_ids": np.int64, "splits": np.str_}
+_COLUMNS = tuple(_DTYPES)
 _CSV_SHA256 = "csv_sha256"
 _CACHE_KEYS = (_CSV_SHA256, *_COLUMNS)
 
@@ -169,12 +173,14 @@ class GenSpec:
 class Dataset:
     """Column-oriented sample store with validated invariants.
 
-    The arrays are validated once, when the Dataset is built, and are then
-    trusted: training and evaluation do not rescan them. A Dataset is meant
-    to be read, not edited; ``real_split_indices`` and ``synthetic_indices``
-    are computed on first use and not updated if ``splits`` or ``domains``
-    change later. ``num_classes`` is derived, not given: the largest
-    ``class_id`` plus one, since every class needs a real train row.
+    The arrays are converted to their ``_DTYPES`` and validated once, when the
+    Dataset is built, and are then trusted: training and evaluation do not
+    rescan them. ``validate`` also derives every other field: ``num_classes``
+    (the largest ``class_id`` plus one, since every class needs a real train
+    row), ``rare_class_id``, and the read-only row selectors
+    ``real_split_indices`` (the real rows of each split) and
+    ``synthetic_indices`` (the synthetic pool). A Dataset is meant to be read,
+    not edited: the derived fields are not updated if a column changes later.
     """
 
     features: np.ndarray
@@ -184,21 +190,20 @@ class Dataset:
     splits: np.ndarray
     num_classes: int = field(init=False)
     rare_class_id: int = field(init=False)
+    real_split_indices: dict[str, np.ndarray] = field(init=False, repr=False)
+    synthetic_indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.class_ids = np.asarray(self.class_ids, dtype=np.int64)
-        self.domains = np.asarray(self.domains, dtype=np.str_)
-        self.location_ids = np.asarray(self.location_ids, dtype=np.int64)
-        self.splits = np.asarray(self.splits, dtype=np.str_)
-        self.rare_class_id = -1
+        for name, dtype in _DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
         self.validate()
 
     def validate(self) -> None:
+        """Check every invariant, then set the fields derived from the columns."""
         n = self.features.shape[0] if self.features.ndim == 2 else -1
         if self.features.ndim != 2:
             raise DataFormatError(f"features must be 2-D, got shape {self.features.shape}")
-        for name in ("class_ids", "domains", "location_ids", "splits"):
+        for name in _COLUMNS[1:]:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise DataFormatError(f"{name} has shape {arr.shape}, expected ({n},)")
@@ -213,21 +218,26 @@ class Dataset:
         self.num_classes = k
         bad_domain = ~np.isin(self.domains, DOMAIN_TOKENS)
         if bad_domain.any():
-            raise DataFormatError(f"unknown domain token {self.domains[bad_domain][0]!r}")
+            raise DataFormatError(f"unknown domain token {str(self.domains[bad_domain][0])!r}")
         bad_split = ~np.isin(self.splits, SPLITS)
         if bad_split.any():
-            raise DataFormatError(f"unknown split token {self.splits[bad_split][0]!r}")
+            raise DataFormatError(f"unknown split token {str(self.splits[bad_split][0])!r}")
 
         real = self.domains == "real"
         synthetic = ~real
-        train_real = real & (self.splits == "train")
-        train_counts = np.bincount(self.class_ids[train_real], minlength=k)
+        rows = {split: np.flatnonzero(real & (self.splits == split)) for split in SPLITS}
+        pool = np.flatnonzero(synthetic)
+        for idx in (*rows.values(), pool):
+            idx.flags.writeable = False
+        self.real_split_indices, self.synthetic_indices = rows, pool
+
+        train_counts = np.bincount(self.class_ids[rows["train"]], minlength=k)
         if (train_counts == 0).any():
             missing = int(np.argmin(train_counts))
             raise DataFormatError(f"class {missing} has no real train samples")
 
-        if synthetic.any():
-            syn_classes = np.unique(self.class_ids[synthetic])
+        if pool.size:
+            syn_classes = np.unique(self.class_ids[pool])
             if len(syn_classes) > 1:
                 raise DataFormatError(
                     f"synthetic samples span classes {syn_classes.tolist()}; "
@@ -240,26 +250,19 @@ class Dataset:
                     f"({train_counts[rare]} train samples), but class "
                     f"{int(np.argmin(train_counts))} is rarer"
                 )
-            off_split = synthetic & (self.splits != "train")
-            if off_split.any():
+            if not (self.splits == "train")[synthetic].all():
                 raise DataFormatError("synthetic samples must carry split 'train'")
         else:
             rare = int(np.argmin(train_counts))
         self.rare_class_id = rare
 
-        seen = set(self.location_ids[(self.splits == "train") & real])
-        for split in ("cis_val", "cis_test"):
-            seen |= set(self.location_ids[self.splits == split])
+        train_cis = np.concatenate([rows["train"], rows["cis_val"], rows["cis_test"]])
         for split in ("trans_val", "trans_test"):
-            trans_locs = set(self.location_ids[self.splits == split])
-            overlap = trans_locs & seen
-            if overlap:
-                raise DataFormatError(
-                    f"{split} reuses train/cis location ids {sorted(overlap)}"
-                )
+            overlap = np.intersect1d(self.location_ids[rows[split]], self.location_ids[train_cis])
+            if overlap.size:
+                raise DataFormatError(f"{split} reuses train/cis location ids {overlap.tolist()}")
         for split in ("cis_test", "trans_test"):
-            mask = (self.splits == split) & (self.class_ids == rare) & real
-            if not mask.any():
+            if not (self.class_ids[rows[split]] == rare).any():
                 raise DataFormatError(f"rare class {rare} missing from {split}")
 
     def __len__(self) -> int:
@@ -268,22 +271,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    @cached_property
-    def real_split_indices(self) -> dict[str, np.ndarray]:
-        """Read-only indices of the real samples of each split, computed once."""
-        real = self.domains == "real"
-        out = {split: np.flatnonzero(real & (self.splits == split)) for split in SPLITS}
-        for idx in out.values():
-            idx.flags.writeable = False
-        return out
-
-    @cached_property
-    def synthetic_indices(self) -> np.ndarray:
-        """Read-only indices of the synthetic pool, computed once."""
-        idx = np.flatnonzero(self.domains == "synthetic")
-        idx.flags.writeable = False
-        return idx
 
 
 def _gap_field(spec: GenSpec, name: str, shape: tuple[int, ...], text: str) -> np.ndarray:
@@ -486,11 +473,11 @@ def _load_cache(path) -> Dataset | None:
                         return None
                 if name == _CSV_SHA256 and str(arrays.pop(name)) != _file_sha256(path):
                     return None
-        numbers = (arrays["features"].dtype == np.float64
-                   and arrays["class_ids"].dtype == arrays["location_ids"].dtype == np.int64)
-        if not numbers or any(arrays[name].dtype.kind != "U" or not arrays[name].dtype.isnative
-                              for name in ("domains", "splits")):
-            return None  # Dataset would convert these, and the values could differ from the CSV's
+        # only arrays Dataset takes as they are: a converted one could differ
+        # from the CSV's values (np.asarray keeps a byte-swapped string column)
+        if any(np.asarray(a, dtype=_DTYPES[name]) is not a or not a.dtype.isnative
+               for name, a in arrays.items()):
+            return None
         return Dataset(**arrays)
     except Exception:
         # The cache is only a shortcut, so any failure to read it means "no
@@ -649,11 +636,5 @@ def _parses_as_numpy_float(token: str) -> bool:
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Field-for-field sample equality."""
-    return (
-        np.array_equal(a.features, b.features)
-        and np.array_equal(a.class_ids, b.class_ids)
-        and np.array_equal(a.domains, b.domains)
-        and np.array_equal(a.location_ids, b.location_ids)
-        and np.array_equal(a.splits, b.splits)
-    )
+    """Column-for-column sample equality."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _COLUMNS)

@@ -1,7 +1,8 @@
-"""The traced benchmark (perfbench/tracing.py) patches raredapt by attribute name.
+"""The traced benchmark (perfbench/tracing.py) patches raredapt by attribute
+name, and its workloads (perfbench/workloads.py) pass their inputs by keyword.
 
-A refactor that renames or removes one of those attributes breaks every traced
-benchmark run; these tests catch it without running the benchmark.
+A refactor that renames or removes one of those attributes, fields or keywords
+breaks every benchmark run; these tests catch it without running the benchmark.
 """
 
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import raredapt.cli
 import raredapt.training
-from raredapt import TrainConfig
+from raredapt import TrainConfig, generate
 from raredapt.cli import main
 from raredapt.data import SPLITS
 
@@ -25,6 +26,14 @@ def tracing(monkeypatch):
     import tracing
 
     return tracing
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    return workloads
 
 
 def hooked(tracing):
@@ -84,3 +93,13 @@ def test_traced_table_run_produces_every_step_metric(tracing, tiny_dataset, tmp_
     assert metrics["domains.paired_sampler.batches"] == metrics["training.adam_step.calls"]
     train_ns = sum(span[3] for span in tracer.spans if span[0] == "training.train")
     assert sum(span[4] for span in tracer.spans) == train_ns
+
+
+def test_workload_inputs_are_fields_and_keywords_the_package_has(workloads, tmp_path):
+    # every GenSpec/TrainConfig field is pinned, the pinned values build both
+    # configs, and build_domains/paired_sampler take the keywords they are given
+    assert workloads.unpinned_fields() == []
+    run = workloads.Run("table", 0, 1.0, workloads.TINY, tmp_path, None)
+    dataset = generate(run.gen_spec())
+    for method in workloads.METHODS:
+        assert workloads.count_steps(dataset, run.train_config(method)) > 0

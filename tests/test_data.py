@@ -377,6 +377,23 @@ def test_dataset_rejects_zero_rows():
         Dataset(features=np.empty((0, 2)), class_ids=[], domains=[], location_ids=[], splits=[])
 
 
+@pytest.mark.parametrize("columns, message", [
+    (dict(domains=["real", "fake"], splits=["train", "train"]), "unknown domain token 'fake'"),
+    (dict(domains=["real", "real"], splits=["train", "bogus"]), "unknown split token 'bogus'"),
+])
+def test_dataset_unknown_token_is_named_as_a_plain_string(columns, message):
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        Dataset(features=np.zeros((2, 1)), class_ids=[0, 0], location_ids=[1, 2], **columns)
+
+
+def test_dataset_reused_trans_location_ids_are_listed_as_plain_ints():
+    splits = ["train", "cis_test", "trans_test", "trans_val"]
+    with pytest.raises(DataFormatError,
+                       match=r"^trans_val reuses train/cis location ids \[3\]$"):
+        Dataset(features=np.zeros((4, 1)), class_ids=[0] * 4, domains=["real"] * 4,
+                location_ids=[3, 3, 5, 3], splits=splits)
+
+
 def test_splits_constant_matches_schema():
     assert SPLITS == ("train", "cis_val", "cis_test", "trans_val", "trans_test")
 
