@@ -19,7 +19,7 @@ from .data import (
     load_csv,
     save_csv,
 )
-from .domains import METHODS, BatchPair, DomainOrg, build_domains, paired_sampler, route_delta
+from .domains import METHODS, BatchPair, DomainOrg, build_domains, paired_sampler
 from .losses import (
     CoralValue,
     LossValue,

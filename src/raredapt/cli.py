@@ -33,8 +33,9 @@ with one row per successful cell (columns SWEEP_CSV_COLUMNS). --counts and
 cell whose training diverges (TrainingDiverged) or rejects the cell's values
 (ValueError, such as a count beyond the synthetic pool) gets no curve row and
 no directory; its message goes to failures.json under count<N>_seed<S>, and
-the sweep still exits 0. Any other error ends the sweep: an OSError exits 1
-with an error line, and anything else raises with its traceback.
+the sweep still exits 0; a sweep without one removes the failures.json of an
+earlier sweep. Any other error ends the sweep: an OSError exits 1 with an
+error line, and anything else raises with its traceback.
 
 An undefined (NaN) metric is an empty cell in sweep_<method>.csv and
 comparison.csv, null in JSON, and nan in history.csv.
@@ -296,6 +297,8 @@ def cmd_sweep(args) -> int:
     if failures:
         write_json(out / "failures.json", failures)
         print(f"{len(failures)} cell(s) failed; see {out / 'failures.json'}", file=sys.stderr)
+    else:
+        (out / "failures.json").unlink(missing_ok=True)
     print(f"sweep curve written to {curve_path} ({len(rows)} rows)")
     return 0
 

@@ -181,6 +181,7 @@ class Dataset:
     ``real_split_indices`` (the real rows of each split) and
     ``synthetic_indices`` (the synthetic pool). A Dataset is meant to be read,
     not edited: the derived fields are not updated if a column changes later.
+    ``==`` compares the columns with ``datasets_equal``; a Dataset is unhashable.
     """
 
     features: np.ndarray
@@ -192,6 +193,9 @@ class Dataset:
     rare_class_id: int = field(init=False)
     real_split_indices: dict[str, np.ndarray] = field(init=False, repr=False)
     synthetic_indices: np.ndarray = field(init=False, repr=False)
+
+    def __eq__(self, other):
+        return datasets_equal(self, other) if isinstance(other, Dataset) else NotImplemented
 
     def __post_init__(self):
         for name, dtype in _DTYPES.items():

@@ -11,14 +11,14 @@ chosen synthetic rare-class samples. The target set T depends on the method:
 
 T never contains synthetic samples, and oversampling is index multiplicity,
 not data duplication. A batch pair is dataset row indices; the step gathers
-the rows it reads. The routing rule picks which rows of a batch reach the
-discriminator, so only the adversarial methods route any: rare-class rows for
-deerdann, every row for alldann. The baseline and deercoral route none.
+the rows it reads. Which rows reach the discriminator is resolved once per
+run as a row mask, ``DomainOrg.routed``: rare-class rows for deerdann, every
+row for alldann, None for the baseline and deercoral, which route none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -36,13 +36,13 @@ _SYN_CHOICE_STREAM = 12
 
 @dataclass
 class DomainOrg:
-    """Resolved source/target index sets for one training run."""
+    """Resolved source/target index sets and routing mask for one training run."""
 
     method: str
     source_indices: np.ndarray
     target_indices: np.ndarray
     rare_class_id: int
-    dataset: Dataset = field(repr=False)
+    routed: np.ndarray | None
 
 
 @dataclass
@@ -86,7 +86,8 @@ def build_domains(
     chosen = np.sort(rng.permutation(pool)[:synthetic_count])
     source = np.concatenate([train, chosen])
 
-    rare_train = train[dataset.class_ids[train] == rare]
+    is_rare = dataset.class_ids == rare
+    rare_train = train[is_rare[train]]
     if rare_train.size == 0:
         raise ValueError(f"no real train samples of rare class {rare}")
     oversampled = np.tile(rare_train, oversample_factor)
@@ -101,26 +102,8 @@ def build_domains(
         source_indices=source,
         target_indices=target,
         rare_class_id=rare,
-        dataset=dataset,
+        routed={"deerdann": is_rare, "alldann": np.ones_like(is_rare)}.get(method),
     )
-
-
-def route_delta(class_ids: np.ndarray, method: str, rare_class_id: int) -> np.ndarray:
-    """Rows whose features reach the discriminator.
-
-    deerdann selects rare-class rows and alldann every row; the baseline and
-    deercoral route nothing (they have no adversarial term). The rows come
-    sorted and unique, so the training step can add their gradients back with
-    one fancy-index add.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    class_ids = np.asarray(class_ids)
-    if method == "alldann":
-        return np.arange(class_ids.shape[0])
-    if method == "deerdann":
-        return np.flatnonzero(class_ids == rare_class_id)
-    return np.empty(0, dtype=np.int64)
 
 
 def paired_sampler(
@@ -134,24 +117,27 @@ def paired_sampler(
     dropped (covariance over a single row is undefined). Source and target
     shuffles use independent streams, so the source sequence is identical
     across methods for a given seed.
+
+    A batch routes the positions of its ``org.routed`` rows, sorted. The step
+    relies on every batch of an adversarial method routing >= 2 rows: alldann
+    routes all, and deerdann's target batch (>= 2 rows) is all rare-class.
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
-    has_target = org.method != "baseline"
-    if has_target and org.target_indices.size == 0:
-        raise ValueError(f"method {org.method!r} requires a non-empty target set")
     src_perm = make_rng(seed, _SRC_STREAM, epoch).permutation(org.source_indices)
     target_seq = None
-    if has_target:
+    if org.method != "baseline":
+        if org.target_indices.size == 0:
+            raise ValueError(f"method {org.method!r} requires a non-empty target set")
         tgt_rng = make_rng(seed, _TGT_STREAM, epoch)
         passes = range(1 + src_perm.size // org.target_indices.size)
         target_seq = np.concatenate([tgt_rng.permutation(org.target_indices) for _ in passes])
-    classes, method, rare = org.dataset.class_ids, org.method, org.rare_class_id
     none = np.empty(0, dtype=np.int64)
     for start in range(0, src_perm.size, batch_size):
         source = src_perm[start : start + batch_size]
         if source.size < 2:
             continue
         target = None if target_seq is None else target_seq[start : start + source.size]
-        routed_tgt = none if target is None else route_delta(classes[target], method, rare)
-        yield BatchPair(source, target, route_delta(classes[source], method, rare), routed_tgt)
+        routed = (none, none) if org.routed is None else (
+            np.flatnonzero(org.routed[source]), np.flatnonzero(org.routed[target]))
+        yield BatchPair(source, target, *routed)

@@ -10,14 +10,14 @@ the returned checkpoint is the epoch with the best trans-validation rare-class
 accuracy among epochs whose trans-validation other-class accuracy stays within
 a tolerance of the best value seen.
 
-The adversarial methods differ only in routing: the sampler's ``route_delta``
-picks which feature rows of each batch reach the discriminator (rare-class
-rows for deerdann, every row for alldann; no other method routes any), sorted
-and unique. The step gathers those rows on the forward pass and adds their
-gradient back into the same rows on the backward pass, through the gradient
-reversal layer: identity forward, negate-and-scale backward, so the extractor
-is pushed to *maximize* the discriminator's loss while the discriminator
-minimizes it.
+The adversarial methods differ only in routing: each batch pair carries the
+positions of the feature rows that reach the discriminator (rare-class rows
+for deerdann, every row for alldann; no other method routes any), sorted and
+unique, and the step takes its alignment term from the pair alone. It gathers
+those rows on the forward pass and adds their gradient back into the same rows
+on the backward pass, through the gradient reversal layer: identity forward,
+negate-and-scale backward, so the extractor is pushed to *maximize* the
+discriminator's loss while the discriminator minimizes it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import SPLITS, Dataset
-from .domains import ADVERSARIAL, METHODS, BatchPair, build_domains, paired_sampler
+from .domains import METHODS, BatchPair, build_domains, paired_sampler
 from .losses import DOMAIN_SOURCE, DOMAIN_TARGET, coral_loss, cross_entropy, domain_confusion
 from .metrics import RunMetrics, evaluate
 from .network import ARCH_RULES, Network, NetworkSpec, grl_backward
@@ -232,11 +232,11 @@ def _train_batch(
     """Forward and backward passes of one step; leaves the gradients in ``net``.
 
     The step gathers the rows of ``pair`` from ``dataset``. Every method
-    classifies the source batch. A method with a target set also forwards the
-    target batch and adds its alignment term: the domain confusion of the
-    routed rows behind the reversal layer (adversarial methods), or the
-    covariance alignment of logits or features (deercoral). 'membership'
-    labels routed rows by set; 'provenance' labels source rows by origin
+    classifies the source batch. A pair with a target batch also forwards it
+    and adds one alignment term, chosen by the pair: the domain confusion of
+    its routed rows behind the reversal layer if it routes any, else the
+    covariance alignment of logits or features. 'membership' labels routed
+    rows by set; 'provenance' labels source rows by origin
     (synthetic -> source, real -> target).
     Each loss goes into ``totals`` as it is computed (see :class:`_Totals`).
     Raises TrainingDiverged on a non-finite loss, before any backward pass.
@@ -258,8 +258,7 @@ def _train_batch(
     rs, rt = pair.routed_source_rows, pair.routed_target_rows
     if xt is not None:
         f_tgt, tr_f_tgt = net.forward_features(xt)
-    adversarial = config.method in ADVERSARIAL
-    if adversarial and rs.size + rt.size > 0:
+    if rs.size + rt.size > 0:
         blocks = []
         if rs.size:
             d_logits_src, tr_d_src = net.forward_discriminator(f_src[rs])
@@ -277,7 +276,7 @@ def _train_batch(
         totals.disc += (np.bincount(hits, minlength=2), np.bincount(labels, minlength=2))
         totals.add("domain_loss", confusion.value, confusion.dlogits.shape[0])
         composite += config.domain_weight * confusion.value
-    elif not adversarial and xt is not None:
+    elif xt is not None:
         if config.coral_layer == "logits":
             logits_tgt, tr_c_tgt = net.forward_classifier(f_tgt)
             coral = coral_loss(logits_src, logits_tgt)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from raredapt import Dataset, GenSpec, generate, make_rng, route_delta
+from raredapt import Dataset, GenSpec, generate, make_rng
 from raredapt.domains import BatchPair
 from raredapt.network import Network, NetworkSpec
 
@@ -84,14 +84,20 @@ def trace_clear_of_kinks(net, *part_traces, margin: float = KINK_MARGIN) -> bool
 
 
 def batch_pair(method, rare_class_id, xs, ys, xt=None, yt=None):
-    """A hand-built step input, routed as ``paired_sampler`` routes one: a
-    small array holder with the source rows, then the target rows, all real,
-    and a ``BatchPair`` of their indices; pass no target batch for the
-    baseline. Returns ``(rows, pair)``."""
+    """A hand-built step input, routed as the paper routes one: a small array
+    holder with the source rows, then the target rows, all real, and a
+    ``BatchPair`` of their indices; pass no target batch for the baseline.
+    deerdann routes the rare-class rows, alldann every row, and the other
+    methods none; the routing is computed here, apart from the library.
+    Returns ``(rows, pair)``."""
     n = len(ys)
     xt, yt = (xs[:0], ys[:0]) if xt is None else (xt, yt)
     rows = SimpleNamespace(features=np.vstack([xs, xt]), class_ids=np.concatenate([ys, yt]),
                            domains=np.full(n + len(yt), "real"))
     target = np.arange(n, n + len(yt)) if len(yt) else None
-    routed = [route_delta(y, method, rare_class_id) for y in (ys, yt)]
-    return rows, BatchPair(np.arange(n), target, *routed)
+
+    def routed(y):
+        keep = [method == "alldann" or (method == "deerdann" and c == rare_class_id) for c in y]
+        return np.array([i for i, k in enumerate(keep) if k], dtype=np.int64)
+
+    return rows, BatchPair(np.arange(n), target, routed(ys), routed(yt))

@@ -171,19 +171,33 @@ def test_every_file_write_goes_through_the_writer():
     assert len(_writes_outside_the_writer(sample)) == 9
 
 
-def _method_literals(tree: ast.AST) -> list[str]:
-    """String constants that name a training method."""
-    return [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and node.value in raredapt.METHODS]
+def _method_references(tree: ast.AST) -> list[str]:
+    """String constants that name a training method, and every import or read
+    of ``ADVERSARIAL``, the set of methods with a domain-confusion term."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in raredapt.METHODS:
+            found.append(f"line {node.lineno}: {node.value!r}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                      if alias.name == "ADVERSARIAL"]
+        elif (isinstance(node, ast.Name) and node.id == "ADVERSARIAL"
+              or isinstance(node, ast.Attribute) and node.attr == "ADVERSARIAL"):
+            found.append(f"line {node.lineno}: ADVERSARIAL")
+    return found
 
 
 def test_only_domains_names_a_method():
-    # domains.py decides what each method does; other modules branch on its sets
+    # domains.py decides what each method does; other modules read what it
+    # resolved, not which method runs
     found = {
-        path.name: _method_literals(ast.parse(path.read_text(encoding="utf-8")))
+        path.name: _method_references(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "domains.py"
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
     sample = ast.parse('m = "deerdann"\nif m in ("baseline", "alldann"): x = "deercoral "\n')
-    assert len(_method_literals(sample)) == 3
+    assert len(_method_references(sample)) == 3
+    sample = ast.parse("from .domains import METHODS, ADVERSARIAL as A\n"
+                       "a = m in ADVERSARIAL\nb = domains.ADVERSARIAL\n")
+    assert len(_method_references(sample)) == 3

@@ -142,6 +142,17 @@ def test_sweep_records_failed_cells_and_keeps_going(tmp_path, jobs):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_sweep_without_a_failed_cell_removes_an_earlier_failures_file(tmp_path):
+    data = write_tiny_csv(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(sweep_argv(data, out, seeds="0", counts="0,100000")) == 0
+    assert (out / "failures.json").is_file()
+    assert main(sweep_argv(data, out, seeds="0", counts="0,50")) == 0
+    assert not (out / "failures.json").exists()
+    with open(out / "sweep_deerdann.csv", newline="", encoding="utf-8") as fh:
+        assert [(r["count"], r["seed"]) for r in csv.DictReader(fh)] == [("0", "0"), ("50", "0")]
+
+
 def test_sweep_records_a_diverged_cell(tmp_path, monkeypatch):
     real_train = cli.train
 

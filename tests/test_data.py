@@ -104,6 +104,19 @@ def test_generation_deterministic():
     assert not datasets_equal(a, c)
 
 
+def test_dataset_equality_compares_the_columns():
+    a = generate(tiny_gen_spec())
+    assert a == generate(tiny_gen_spec())
+    features = a.features.copy()
+    features[5, 2] += 1.0
+    changed = Dataset(features=features, class_ids=a.class_ids, domains=a.domains,
+                      location_ids=a.location_ids, splits=a.splits)
+    assert a != changed and not a == changed
+    assert a != "dataset"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 def test_trans_locations_disjoint_from_train_and_cis():
     ds = generate(tiny_gen_spec())
     idx = ds.real_split_indices

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raredapt import build_domains, paired_sampler, route_delta
+from raredapt import build_domains, paired_sampler
 from raredapt.domains import METHODS
 
 
@@ -66,26 +66,39 @@ def test_build_domains_rejects_unknown_method_and_missing_rare(tiny_dataset):
         build_domains(tiny_dataset, "deerdann", synthetic_count=0, rare_class_id=1 + 10)
 
 
-def test_route_delta_examples():
-    labels = np.array([3, 0, 3, 1])
-    assert route_delta(labels, "deerdann", 3).tolist() == [0, 2]
-    assert route_delta(labels, "deercoral", 3).tolist() == []
-    assert route_delta(np.array([0, 1, 2]), "deerdann", 3).tolist() == []
-    assert route_delta(labels, "alldann", 3).tolist() == [0, 1, 2, 3]
-    assert route_delta(labels, "baseline", 3).tolist() == []
+def test_deerdann_routes_the_rare_class_rows(tiny_dataset):
+    org = build_domains(tiny_dataset, "deerdann", synthetic_count=10)
+    expected = [c == org.rare_class_id for c in tiny_dataset.class_ids.tolist()]
+    assert org.routed.dtype == bool and org.routed.tolist() == expected
+    # real rare rows: 41 train, 15 in each val split, 25 in each test split;
+    # and the 400-row synthetic pool
+    assert org.routed.sum() == 41 + 2 * 15 + 2 * 25 + 400
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    labels=st.lists(st.integers(0, 5), min_size=0, max_size=40),
-    rare=st.integers(0, 5),
-)
-def test_route_delta_matches_brute_force_scan(labels, rare):
-    labels = np.array(labels, dtype=np.int64)
-    routed = set(route_delta(labels, "deerdann", rare).tolist())
-    brute = {i for i, c in enumerate(labels) if c == rare}
-    assert routed == brute
-    assert set(route_delta(labels, "alldann", rare).tolist()) == set(range(len(labels)))
+def test_alldann_routes_every_row(tiny_dataset):
+    org = build_domains(tiny_dataset, "alldann", synthetic_count=10)
+    assert org.routed.dtype == bool and org.routed.shape == tiny_dataset.class_ids.shape
+    assert org.routed.all()
+
+
+@pytest.mark.parametrize("method", ["baseline", "deercoral"])
+def test_methods_without_an_adversarial_term_route_nothing(tiny_dataset, method):
+    assert build_domains(tiny_dataset, method, synthetic_count=10).routed is None
+
+
+@pytest.mark.parametrize("method", ["deerdann", "alldann"])
+@pytest.mark.parametrize("batch_size", [2, 7, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_adversarial_batch_routes_target_rows(tiny_dataset, method, batch_size, seed):
+    # the step picks the domain-confusion term from a batch's routed rows, so
+    # no batch of an adversarial method may arrive without any
+    org = build_domains(tiny_dataset, method, synthetic_count=60, seed=seed)
+    least = 2 if method == "deerdann" else 1
+    steps = 0
+    for pair in paired_sampler(org, batch_size, seed=seed, epoch=seed):
+        assert pair.routed_target_rows.size >= least
+        steps += 1
+    assert steps == (311 + 60) // batch_size + ((311 + 60) % batch_size > 1)
 
 
 def test_epoch_covers_source_exactly_once(tiny_dataset):
