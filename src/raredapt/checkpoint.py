@@ -52,7 +52,7 @@ class CheckpointError(RuntimeError):
     """Unreadable, truncated, or version-incompatible checkpoint file."""
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: an array field makes the generated == raise
 class Checkpoint:
     """A parameter snapshot plus the context needed to reuse it."""
 

@@ -25,6 +25,8 @@ A train run directory is written in this order: config.json (resolved config
 + dataset reference), checkpoint.ckpt (+ .meta.json sidecar), history.csv
 (per-epoch losses and split metrics), train.log, and selected_metrics.json
 (the selected checkpoint's metrics) last, so that it marks a complete run.
+Before writing, it deletes the ``<file>.<pid>.tmp`` that a killed writer of
+one of those files left behind, and no other file.
 
 A sweep directory holds one train run directory per (count, seed) cell under
 cells/<method>_count<N>_seed<S>/, and the learning curve sweep_<method>.csv
@@ -42,19 +44,25 @@ comparison.csv, null in JSON, and nan in history.csv.
 
 The sweep runs its cells in a process pool of min(--jobs, cells) workers;
 each worker loads the dataset CSV in its first cell and keeps it for the
-rest. An unreadable CSV ends the sweep with one error and no output
-directory. A malformed --counts/--seeds list or a --jobs below 1 is a usage
-error (exit 2): counts and seeds are non-negative ints, seeds distinct,
-counts strictly increasing.
+rest. With two or more workers the parent sets numpy's OpenBLAS to one thread
+just before it forks them and restores its own count once the pool has
+closed: the workers inherit the count of one, while a setter call inside a
+worker would start a BLAS helper thread that busy-waits beside it. An
+unreadable CSV ends the sweep with one error and no output directory. A
+malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
+2): counts and seeds are non-negative ints, seeds distinct, counts strictly
+increasing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
 import functools
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -139,8 +147,18 @@ def _selected_metrics_payload(config: TrainConfig, checkpoint: Checkpoint, histo
     }
 
 
+_RUN_DIR_FILES = ("config.json", "checkpoint.ckpt", "checkpoint.ckpt.meta.json", "history.csv",
+                 "train.log", "selected_metrics.json")
+_STALE_TEMP = re.compile("(?:" + "|".join(map(re.escape, _RUN_DIR_FILES)) + r")\.[0-9]+\.tmp")
+
+
 def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, history) -> dict:
-    """Write one run directory, ``selected_metrics.json`` last; return its payload."""
+    """Write one run directory, ``selected_metrics.json`` last; return its payload.
+    First delete the temporary file a killed writer left for any of its files."""
+    if out.is_dir():
+        for path in out.iterdir():
+            if _STALE_TEMP.fullmatch(path.name):
+                path.unlink(missing_ok=True)
     write_json(out / "config.json", {"data": str(data_path), "config": asdict(config),
                                      "config_hash": config.config_hash()})
     save_checkpoint(checkpoint, out / "checkpoint.ckpt")
@@ -188,25 +206,48 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _single_thread_blas() -> None:
-    """Cap the OpenBLAS that numpy loaded at one thread; do nothing if it is not found.
-
-    Each forked sweep worker inherits a BLAS pool as wide as the machine, so
-    ``--jobs`` workers would run jobs x nproc BLAS threads on nproc cores.
-    """
+@functools.cache
+def _blas_threads():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
+    loaded, resolved once per process; None if it is not found."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def _single_thread_blas():
+    """Hold the OpenBLAS that numpy loaded at one thread, and restore its count
+    on exit; do nothing if it is not found.
+
+    The sweep forks its workers inside this block, so each inherits a count of
+    one and never starts a BLAS helper thread; otherwise ``--jobs`` workers
+    would run jobs x nproc BLAS threads on nproc cores. Never call the setter
+    inside a worker instead: any call there starts a helper thread, which
+    busy-waits beside the worker's own.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
 
 
 @functools.lru_cache(maxsize=1)
@@ -279,9 +320,8 @@ def cmd_sweep(args) -> int:
         for seed in args.seeds
     ]
     workers = min(args.jobs, len(jobs))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_single_thread_blas if workers > 1 else None
-    ) as pool:
+    with (_single_thread_blas() if workers > 1 else contextlib.nullcontext(),
+          ProcessPoolExecutor(max_workers=workers) as pool):
         results = list(pool.map(_sweep_run_one, jobs))
 
     rows = []

@@ -34,7 +34,7 @@ _TGT_STREAM = 11
 _SYN_CHOICE_STREAM = 12
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: an array field makes the generated == raise
 class DomainOrg:
     """Resolved source/target index sets and routing mask for one training run."""
 
@@ -45,7 +45,7 @@ class DomainOrg:
     routed: np.ndarray | None
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: an array field makes the generated == raise
 class BatchPair:
     """One step's dataset row indices, and the positions within each batch
     that reach the discriminator. ``target`` is None for the baseline."""

@@ -25,7 +25,7 @@ def none_if_nan(x: float) -> float | None:
     return None if math.isnan(x) else float(x)
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: an array field makes the generated == raise
 class RunMetrics:
     """Evaluation result on one split."""
 

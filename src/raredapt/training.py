@@ -180,7 +180,7 @@ class Adam:
         net.params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + cfg.adam_eps)
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity, as for the RunMetrics it holds
 class EpochRecord:
     """Learning-curve entry: loss terms plus metrics on every split."""
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from raredapt import Dataset, GenSpec, generate, make_rng
+from raredapt import Dataset, GenSpec, cli, generate, make_rng
 from raredapt.domains import BatchPair
 from raredapt.network import Network, NetworkSpec
 
@@ -24,6 +24,16 @@ def tiny_gen_spec(**overrides) -> GenSpec:
     )
     base.update(overrides)
     return GenSpec(**base)
+
+
+@pytest.fixture(autouse=True)
+def blas_thread_count_is_restored():
+    """Every test leaves the process's OpenBLAS thread count as it found it."""
+    blas = cli._blas_threads()
+    before = blas[0]() if blas else None
+    yield
+    if blas:
+        assert blas[0]() == before, "the test left the BLAS thread count changed"
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -168,6 +169,69 @@ def test_sweep_records_a_diverged_cell(tmp_path, monkeypatch):
     failures = json.loads((out / "failures.json").read_text(encoding="utf-8"))
     assert failures == {"count50_seed0": "non-finite loss at count 50"}
     assert [p.name for p in (out / "cells").iterdir()] == ["deerdann_count0_seed0"]
+
+
+def record_cell_threads(monkeypatch) -> None:
+    """Patch the sweep's cell function to write, into each cell directory, the
+    OS thread count and the BLAS thread count of its worker after the cell."""
+    real_cell = cli._sweep_run_one
+
+    @functools.wraps(real_cell)  # pickled by name, so the forked workers run the patch
+    def recording_cell(job):
+        result = real_cell(job)
+        tasks = Path("/proc/self/task")
+        blas = cli._blas_threads()
+        (job[2] / "threads.json").write_text(json.dumps({
+            "os": len(list(tasks.iterdir())) if tasks.is_dir() else None,
+            "blas": blas[0]() if blas else None,
+        }), encoding="utf-8")
+        return result
+
+    monkeypatch.setattr(cli, "_sweep_run_one", recording_cell)
+
+
+def sweep_cell_threads(tmp_path, monkeypatch, jobs) -> list[dict]:
+    record_cell_threads(monkeypatch)
+    out = tmp_path / "sweep"
+    assert main(sweep_argv(write_tiny_csv(tmp_path), out, jobs=jobs)) == 0
+    seen = [json.loads(p.read_text(encoding="utf-8"))
+            for p in sorted((out / "cells").glob("*/threads.json"))]
+    assert len(seen) == 4
+    return seen
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+def test_sweep_workers_start_no_blas_helper_thread(tmp_path, monkeypatch):
+    # a BLAS setter call inside a forked worker starts a busy-waiting helper thread
+    assert [cell["os"] for cell in sweep_cell_threads(tmp_path, monkeypatch, 2)] == [1] * 4
+
+
+@pytest.mark.skipif(cli._blas_threads() is None, reason="no OpenBLAS found")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_workers_inherit_one_blas_thread_and_the_parent_keeps_its_count(
+    tmp_path, monkeypatch, jobs
+):
+    get_threads = cli._blas_threads()[0]
+    before = get_threads()
+    seen = sweep_cell_threads(tmp_path, monkeypatch, jobs)
+    assert [cell["blas"] for cell in seen] == [1 if jobs > 1 else before] * 4
+    assert get_threads() == before
+
+
+def test_a_rerun_deletes_only_the_temp_files_a_killed_run_dir_writer_left(tmp_path):
+    data = write_tiny_csv(tmp_path)
+    out = tmp_path / "sweep"
+    argv = sweep_argv(data, out, seeds="0", counts="0")
+    assert main(argv) == 0
+    cell = out / "cells" / "deerdann_count0_seed0"
+    written = {p.name: p.read_bytes() for p in cell.iterdir()}
+    stale = ["history.csv.4242.tmp", "checkpoint.ckpt.meta.json.17.tmp", "train.log.1.tmp"]
+    kept = ["notes.tmp", "history.csv.tmp", "history.csv.12a.tmp", "data.csv.4242.tmp"]
+    for name in stale + kept:
+        (cell / name).write_text("partial", encoding="utf-8")
+    assert main(argv) == 0
+    assert sorted(p.name for p in cell.iterdir()) == sorted([*written, *kept])
+    assert {name: (cell / name).read_bytes() for name in written} == written
 
 
 def test_sweep_ends_on_an_error_that_is_not_the_cells(tmp_path, monkeypatch, capsys):

@@ -9,11 +9,13 @@ from raredapt import (
     Network,
     TrainConfig,
     TrainingDiverged,
+    build_domains,
     coral_loss,
     cross_entropy,
     domain_confusion,
     generate,
     make_rng,
+    paired_sampler,
     select_epoch,
     train,
 )
@@ -487,3 +489,22 @@ def test_composite_adversarial_gradient_matches_finite_differences():
                     err = relative_error(getattr(layer, gattr), fd)
                     assert err < 1e-4, (config.method, config.coral_layer, seed, part, i, attr)
             checked += 1
+
+
+def test_array_holding_records_compare_by_identity_without_raising(tiny_dataset):
+    # a generated == compares the array fields as a tuple and raises; each pair
+    # below holds equal content, as train() and the sampler are deterministic
+    cfg = TrainConfig(method="deerdann", epochs=1, batch_size=32, synthetic_count=50)
+    runs = [train(tiny_dataset, cfg) for _ in range(2)]
+    assert np.array_equal(runs[0][0].params, runs[1][0].params)
+    orgs = [build_domains(tiny_dataset, "deerdann", synthetic_count=50) for _ in range(2)]
+    pairs = [next(paired_sampler(org, 32, seed=0, epoch=0)) for org in orgs]
+    for a, b in [
+        [ckpt for ckpt, _ in runs],
+        [history[0] for _, history in runs],
+        [history[0].split_metrics["train"] for _, history in runs],
+        orgs,
+        pairs,
+    ]:
+        assert a != b
+        assert a == a and b == b
