@@ -5,9 +5,12 @@ moves over the target once it is complete, so a killed process or a failing
 write leaves the previous file or none, never a partial one.
 
 It also owns the file layouts: ``write_json`` (indented, key-sorted, no NaN)
-and ``write_csv``, whose one cell rule writes None as an empty cell and any
-other value with ``str``: a float or numpy float64 in its shortest round-trip
-form (NaN as ``nan``).
+and the CSV lines of ``write_csv`` and ``csv_block``, whose one cell rule
+writes None as an empty cell and any other value with ``str``: a float or
+numpy float64 in its shortest round-trip form (NaN as ``nan``).
+
+A killed writer leaves its ``<target>.<pid>.tmp`` behind; ``remove_stale_temps``
+deletes those of named targets before they are written again.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import contextlib
 import errno
 import json
 import os
+import re
 from pathlib import Path
 
 
@@ -54,11 +58,33 @@ def write_json(path, payload) -> None:
     write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def remove_stale_temps(directory, names) -> None:
+    """Delete each ``<name>.<digits>.tmp`` in ``directory`` that ``atomic_open``
+    left for one of ``names`` when its process was killed, and no other file.
+    A directory that does not exist holds none."""
+    directory = Path(directory)
+    names = [name for name in names if name not in ("", "..")]  # no file has these
+    if not names or not directory.is_dir():
+        return
+    stale = re.compile("(?:" + "|".join(map(re.escape, names)) + r")\.[0-9]+\.tmp")
+    for path in directory.iterdir():
+        if stale.fullmatch(path.name):
+            path.unlink(missing_ok=True)
+
+
+def _csv_line(cells) -> str:
+    return ",".join(["" if v is None else str(v) for v in cells]) + "\n"
+
+
 def csv_lines(header, rows):
     """Yield the header line and one line per row, each ending in ``\\n``."""
-    yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(["" if v is None else str(v) for v in row]) + "\n"
+    yield _csv_line(header)
+    yield from map(_csv_line, rows)
+
+
+def csv_block(rows) -> bytes:
+    """The UTF-8 bytes of one line per row, as ``csv_lines`` writes them."""
+    return "".join(map(_csv_line, rows)).encode("utf-8")
 
 
 def write_csv(path, header, rows) -> None:

@@ -11,7 +11,11 @@ Subcommands wire the library end to end:
 gen-data writes two files: the dataset CSV and, beside it, its parsed cache
 ``<out>.parsed.npz``, which train, sweep and project read instead of parsing
 the CSV while the cache still matches the CSV's bytes (see
-:func:`raredapt.data.load_csv`). The cache is safe to delete.
+:func:`raredapt.data.load_csv`). The cache is safe to delete. gen-data formats
+the CSV rows on up to nproc processes, one per 4,096 rows (see
+:func:`raredapt.data.save_csv`); a dataset smaller than that starts none.
+Before writing, it deletes the ``<file>.<pid>.tmp`` that a killed gen-data
+left for either file, and no other file.
 
 Config files are JSON mirrors of the GenSpec / TrainConfig dataclasses; one
 builder makes either, and each flag given overrides the field its dest names.
@@ -52,6 +56,10 @@ unreadable CSV ends the sweep with one error and no output directory. A
 malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
 2): counts and seeds are non-negative ints, seeds distinct, counts strictly
 increasing.
+
+A pool worker that dies (killed by a signal or the OOM killer) in sweep or
+gen-data ends the command with one error line and exit 1; gen-data then
+leaves the earlier CSV and cache, or none, and no temporary file.
 """
 
 from __future__ import annotations
@@ -62,15 +70,15 @@ import ctypes
 import dataclasses
 import functools
 import json
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_csv, write_json, write_text
+from .artifacts import remove_stale_temps, write_csv, write_json, write_text
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     SPLITS, DataFormatError, Dataset, GenSpec, class_histogram, generate, load_csv, save_csv
@@ -149,16 +157,12 @@ def _selected_metrics_payload(config: TrainConfig, checkpoint: Checkpoint, histo
 
 _RUN_DIR_FILES = ("config.json", "checkpoint.ckpt", "checkpoint.ckpt.meta.json", "history.csv",
                  "train.log", "selected_metrics.json")
-_STALE_TEMP = re.compile("(?:" + "|".join(map(re.escape, _RUN_DIR_FILES)) + r")\.[0-9]+\.tmp")
 
 
 def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, history) -> dict:
     """Write one run directory, ``selected_metrics.json`` last; return its payload.
     First delete the temporary file a killed writer left for any of its files."""
-    if out.is_dir():
-        for path in out.iterdir():
-            if _STALE_TEMP.fullmatch(path.name):
-                path.unlink(missing_ok=True)
+    remove_stale_temps(out, _RUN_DIR_FILES)
     write_json(out / "config.json", {"data": str(data_path), "config": asdict(config),
                                      "config_hash": config.config_hash()})
     save_checkpoint(checkpoint, out / "checkpoint.ckpt")
@@ -491,7 +495,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        CliError, CheckpointError, DataFormatError, TrainingDiverged, ValueError, OSError
+        CliError, CheckpointError, DataFormatError, TrainingDiverged, ValueError, OSError,
+        BrokenProcessPool,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

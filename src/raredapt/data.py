@@ -50,15 +50,20 @@ built and cover every row once; ``class_histogram`` counts real samples.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
 import itertools
+import multiprocessing
+import os
 import zipfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open, write_csv
+from .artifacts import atomic_open, csv_block, remove_stale_temps
 from .numerics import make_rng, require_fields, require_finite
 
 SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
@@ -71,6 +76,10 @@ _DTYPES = {"features": np.float64, "class_ids": np.int64, "domains": np.str_,
 _COLUMNS = tuple(_DTYPES)
 _CSV_SHA256 = "csv_sha256"
 _CACHE_KEYS = (_CSV_SHA256, *_COLUMNS)
+# save_csv formats its rows on one process per ROWS_PER_WORKER rows, up to one
+# per usable core, in blocks of _BLOCK_ROWS rows
+ROWS_PER_WORKER = 4096
+_BLOCK_ROWS = 256
 
 
 class DataFormatError(ValueError):
@@ -426,21 +435,72 @@ def expected_header(feature_dim: int) -> list[str]:
 def save_csv(dataset: Dataset, path) -> None:
     """Write the documented CSV schema, then its parsed cache ``<path>.parsed.npz``.
 
-    Floats use shortest round-trip repr. The cache holds the five columns as
-    ``load_csv``'s parse builds them and the SHA-256 of the CSV bytes just
-    written; both files are replaced atomically, the CSV first, so a cache
-    left from an earlier CSV no longer matches and is ignored.
+    First the ``<file>.<pid>.tmp`` that a killed writer left for either file
+    is deleted, and no other file. Floats use shortest round-trip repr. The
+    rows are formatted in blocks of ``_BLOCK_ROWS`` (256) rows on a pool of
+    ``min(usable cores, rows // ROWS_PER_WORKER)`` forked worker processes,
+    with at most two blocks per worker in flight; with one worker, or where
+    ``os.sched_getaffinity`` is missing, they are formatted in this process and
+    no process starts. The bytes do not depend on the worker count. This
+    process writes the blocks in row order and computes the CSV's SHA-256 from
+    them as it writes. The cache holds the five columns as ``load_csv``'s parse
+    builds them and that SHA-256; both files are replaced atomically, the CSV
+    first, so a cache left from an earlier CSV no longer matches and is ignored.
     """
+    path = Path(path)
+    remove_stale_temps(path.parent, (path.name, cache_path(path).name))
     arrays = {name: getattr(dataset, name) for name in _COLUMNS}
-    rows = ([*x.tolist(), *meta] for x, *meta in zip(*arrays.values()))
-    write_csv(path, expected_header(dataset.feature_dim), rows)
+    n = len(dataset)
+    blocks = ([a[i:i + _BLOCK_ROWS] for a in arrays.values()] for i in range(0, n, _BLOCK_ROWS))
+    digest = hashlib.sha256()
+    with (contextlib.closing(_in_order(_csv_block, blocks, _csv_workers(n))) as formatted,
+          atomic_open(path, "wb") as fh):
+        for chunk in itertools.chain([csv_block([expected_header(dataset.feature_dim)])],
+                                     formatted):
+            digest.update(chunk)
+            fh.write(chunk)
     arrays["features"] = np.ascontiguousarray(arrays["features"])
     for name, tokens in (("domains", DOMAIN_TOKENS), ("splits", SPLITS)):
         # the narrowest width that holds the tokens present, as np.array() of the cells gives
         width = max(len(token) for token in tokens if token in arrays[name])
         arrays[name] = arrays[name].astype(f"U{width}")
     with atomic_open(cache_path(path), "wb") as fh:
-        np.savez(fh, **{_CSV_SHA256: np.array(_file_sha256(path))}, **arrays)
+        np.savez(fh, **{_CSV_SHA256: np.array(digest.hexdigest())}, **arrays)
+
+
+def _csv_block(columns: list[np.ndarray]) -> bytes:
+    """The CSV lines of one block of rows, given as its slice of each column."""
+    features, *meta = (column.tolist() for column in columns)
+    return csv_block([*x, *cells] for x, *cells in zip(features, *meta))
+
+
+def _csv_workers(rows: int) -> int:
+    """Processes for formatting ``rows`` CSV rows: one per ``ROWS_PER_WORKER``
+    rows, at most one per usable core, at least one."""
+    usable = getattr(os, "sched_getaffinity", None)
+    if usable is None:
+        return 1
+    return max(1, min(len(usable(0)), rows // ROWS_PER_WORKER))
+
+
+def _in_order(fn, items, workers: int):
+    """Yield ``fn(item)`` for each item in order: in this process with one
+    worker, else on a pool of ``workers`` processes with at most two items per
+    worker in flight, so finished results never pile up here."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    # forked, not spawned: a spawned worker would import numpy and raredapt
+    # again, which costs more than the formatting it takes over
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        pending = collections.deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def cache_path(path) -> Path:

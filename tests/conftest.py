@@ -1,9 +1,11 @@
+import multiprocessing
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from raredapt import Dataset, GenSpec, cli, generate, make_rng
+from raredapt import Dataset, GenSpec, cli, data, generate, make_rng
 from raredapt.domains import BatchPair
 from raredapt.network import Network, NetworkSpec
 
@@ -34,6 +36,23 @@ def blas_thread_count_is_restored():
     yield
     if blas:
         assert blas[0]() == before, "the test left the BLAS thread count changed"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_is_left():
+    """Every test joins each process it starts, a pool's workers too."""
+    yield
+    # active_children() also reaps the children that have exited
+    left = multiprocessing.active_children()
+    assert not left, f"the test left child processes running: {left}"
+
+
+def force_csv_workers(monkeypatch, cores: int = 2, block_rows: int = 7) -> None:
+    """Make ``save_csv`` format even a tiny dataset on ``cores`` pool workers,
+    in blocks of ``block_rows`` rows, so that the in-flight bound is reached."""
+    monkeypatch.setattr(data, "ROWS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
 
 
 @pytest.fixture(scope="session")

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from raredapt import cli, generate, save_checkpoint, save_csv
+from raredapt import cli, data as data_module, generate, save_checkpoint, save_csv
 from raredapt.checkpoint import MAGIC
 from raredapt.training import CORAL_LAYERS, DISCRIMINATOR_LABELS, TrainConfig, TrainingDiverged
 from raredapt.cli import main
 from raredapt.data import cache_path
 
-from conftest import rows_moved, tiny_gen_spec
+from conftest import force_csv_workers, rows_moved, tiny_gen_spec
 from test_checkpoint import make_checkpoint, rewrite_header
 from test_data import OUTSIZED_IDS, _write_tiny_with_cell, counting_parses
 
@@ -232,6 +232,61 @@ def test_a_rerun_deletes_only_the_temp_files_a_killed_run_dir_writer_left(tmp_pa
     assert main(argv) == 0
     assert sorted(p.name for p in cell.iterdir()) == sorted([*written, *kept])
     assert {name: (cell / name).read_bytes() for name in written} == written
+
+
+def test_a_rerun_of_gen_data_deletes_only_the_temp_files_a_killed_writer_left(tmp_path):
+    data = write_tiny_csv(tmp_path)
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    stale = ["data.csv.4242.tmp", "data.csv.parsed.npz.17.tmp", "data.csv.1.tmp"]
+    kept = ["data.csv.tmp", "data.csv.12a.tmp", "data.csv.parsed.npz.tmp", "data.csv.4242.tmp.bak",
+            "xdata.csv.1.tmp", "data.csv.parsed.4242.tmp", "history.csv.4242.tmp"]
+    for name in stale + kept:
+        (tmp_path / name).write_text("partial", encoding="utf-8")
+    assert write_tiny_csv(tmp_path) == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*written, *kept])
+    assert {name: (tmp_path / name).read_bytes() for name in written} == written
+
+
+def exit_in_worker(monkeypatch, module, name) -> None:
+    """Patch ``module.name`` with a function that ends its process at once, as
+    a worker killed by a signal or the OOM killer ends."""
+    @functools.wraps(getattr(module, name))  # pickled by name, so the forked workers run it
+    def killed(*args):
+        os._exit(3)
+
+    monkeypatch.setattr(module, name, killed)
+
+
+POOL_BROKEN = ("error: A process in the process pool was terminated abruptly while the future "
+               "was running or pending.\n")
+
+
+@pytest.mark.parametrize("earlier", [True, False])
+def test_gen_data_worker_that_dies_is_one_error_and_leaves_the_earlier_files(
+    tmp_path, monkeypatch, capsys, earlier
+):
+    out = tmp_path / "data.csv"
+    if earlier:
+        write_tiny_csv(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    force_csv_workers(monkeypatch)
+    exit_in_worker(monkeypatch, data_module, "_csv_block")
+    capsys.readouterr()
+    assert main(["gen-data", "--spec", str(write_tiny_spec(tmp_path)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == POOL_BROKEN
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "spec.json"}
+    assert after == {name: b for name, b in before.items() if name != "spec.json"}
+    assert out.exists() == earlier
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_worker_that_dies_is_one_error(tmp_path, monkeypatch, capsys, jobs):
+    data = write_tiny_csv(tmp_path)
+    exit_in_worker(monkeypatch, cli, "_sweep_run_one")
+    capsys.readouterr()
+    assert main(sweep_argv(data, tmp_path / "sweep", jobs=jobs)) == 1
+    assert capsys.readouterr().err == POOL_BROKEN
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_ends_on_an_error_that_is_not_the_cells(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import os
 import re
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -9,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raredapt import GenSpec, class_histogram, datasets_equal, generate, load_csv, save_csv
+from raredapt import GenSpec, class_histogram, data, datasets_equal, generate, load_csv, save_csv
 from raredapt.data import (
     DataFormatError, SPLITS, Dataset, _parses_as_numpy_float, cache_path, synthetic_map
 )
 
-from conftest import tiny_gen_spec
+from conftest import force_csv_workers, tiny_gen_spec
 
 
 def test_default_spec_rare_train_count_is_41():
@@ -541,3 +543,47 @@ def test_save_csv_writes_the_same_cache_bytes_every_time(tmp_path):
     save_csv(ds, a)
     save_csv(load_csv(a), b)
     assert cache_path(a).read_bytes() == first == cache_path(b).read_bytes()
+
+
+TINY_CSV_SHA256 = "ec7192b633cd167168364c1de1657a98ced4d2d4d9cc5c32e51afbf203262a9e"
+
+
+def test_save_csv_on_a_pool_writes_the_bytes_of_a_one_worker_save(tmp_path, monkeypatch):
+    ds = generate(tiny_gen_spec())
+    one, pooled = tmp_path / "one.csv", tmp_path / "pooled.csv"
+    save_csv(ds, one)
+    force_csv_workers(monkeypatch)
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(data, "ProcessPoolExecutor", RecordingPool)
+    save_csv(ds, pooled)
+    assert started == [2]
+    assert hashlib.sha256(pooled.read_bytes()).hexdigest() == TINY_CSV_SHA256
+    assert cache_path(pooled).read_bytes() == cache_path(one).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "one.csv", "one.csv.parsed.npz", "pooled.csv", "pooled.csv.parsed.npz"]
+
+
+@pytest.mark.parametrize("cores", [None, 2])
+def test_save_csv_below_the_rows_per_worker_starts_no_process(tmp_path, monkeypatch, cores):
+    # None: a platform without os.sched_getaffinity formats in process at any size
+    def no_pool(**kwargs):
+        raise AssertionError("save_csv started a process pool")
+
+    monkeypatch.setattr(data, "ProcessPoolExecutor", no_pool)
+    ds = generate(tiny_gen_spec())
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(data, "ROWS_PER_WORKER", 1)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert len(ds) < data.ROWS_PER_WORKER
+    path = tmp_path / "data.csv"
+    save_csv(ds, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TINY_CSV_SHA256
+    assert datasets_equal(load_csv(path), ds)
