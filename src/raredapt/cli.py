@@ -12,8 +12,7 @@ gen-data writes two files: the dataset CSV and, beside it, its parsed cache
 ``<out>.parsed.npz``, which train, sweep and project read instead of parsing
 the CSV while the cache still matches the CSV's bytes (see
 :func:`raredapt.data.load_csv`). The cache is safe to delete. gen-data formats
-the CSV rows on up to nproc processes, one per 4,096 rows (see
-:func:`raredapt.data.save_csv`); a dataset smaller than that starts none.
+a large CSV's rows on worker processes (see :func:`raredapt.data.save_csv`).
 Before writing, it deletes the ``<file>.<pid>.tmp`` that a killed gen-data
 left for either file, and no other file.
 
@@ -46,18 +45,15 @@ error line, and anything else raises with its traceback.
 An undefined (NaN) metric is an empty cell in sweep_<method>.csv and
 comparison.csv, null in JSON, and nan in history.csv.
 
-The sweep runs its cells in a process pool of min(--jobs, cells) workers;
-each worker loads the dataset CSV in its first cell and keeps it for the
-rest. With two or more workers the parent sets numpy's OpenBLAS to one thread
-just before it forks them and restores its own count once the pool has
-closed: the workers inherit the count of one, while a setter call inside a
-worker would start a BLAS helper thread that busy-waits beside it. An
-unreadable CSV ends the sweep with one error and no output directory. A
-malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
+The sweep runs its cells on min(--jobs, cells) worker processes (see
+:mod:`raredapt.parallel`); each worker loads the dataset with ``load_csv``,
+from the parsed cache while it matches, in its first cell and keeps it for the
+rest. An unreadable CSV ends the sweep with one error and no output directory.
+A malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
 2): counts and seeds are non-negative ints, seeds distinct, counts strictly
 increasing.
 
-A pool worker that dies (killed by a signal or the OOM killer) in sweep or
+A worker process that dies (killed by a signal or the OOM killer) in sweep or
 gen-data ends the command with one error line and exit 1; gen-data then
 leaves the earlier CSV and cache, or none, and no temporary file.
 """
@@ -65,13 +61,10 @@ leaves the earlier CSV and cache, or none, and no temporary file.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -86,6 +79,7 @@ from .data import (
 from .domains import METHODS
 from .metrics import TABLE_COLUMNS, comparison_table, none_if_nan, table_row
 from .numerics import json_tuples
+from .parallel import ordered_map
 from .projection import bimodality_score, export_scatter, project_features
 from .training import (
     CORAL_LAYERS, DISCRIMINATOR_LABELS, EpochRecord, TrainConfig, TrainingDiverged, train
@@ -210,50 +204,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-@functools.cache
-def _blas_threads():
-    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
-    loaded, resolved once per process; None if it is not found."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-            getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
-
-
-@contextlib.contextmanager
-def _single_thread_blas():
-    """Hold the OpenBLAS that numpy loaded at one thread, and restore its count
-    on exit; do nothing if it is not found.
-
-    The sweep forks its workers inside this block, so each inherits a count of
-    one and never starts a BLAS helper thread; otherwise ``--jobs`` workers
-    would run jobs x nproc BLAS threads on nproc cores. Never call the setter
-    inside a worker instead: any call there starts a helper thread, which
-    busy-waits beside the worker's own.
-    """
-    blas = _blas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    count = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(count)
-
-
 @functools.lru_cache(maxsize=1)
 def _sweep_dataset(data_path: str) -> Dataset:
     """The sweep's dataset, loaded by a worker's first cell and kept for the rest."""
@@ -323,10 +273,7 @@ def cmd_sweep(args) -> int:
         for count in args.counts
         for seed in args.seeds
     ]
-    workers = min(args.jobs, len(jobs))
-    with (_single_thread_blas() if workers > 1 else contextlib.nullcontext(),
-          ProcessPoolExecutor(max_workers=workers) as pool):
-        results = list(pool.map(_sweep_run_one, jobs))
+    results = list(ordered_map(_sweep_run_one, jobs, min(args.jobs, len(jobs))))
 
     rows = []
     failures = {}

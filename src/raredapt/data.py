@@ -50,14 +50,11 @@ built and cover every row once; ``class_histogram`` counts real samples.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import hashlib
 import itertools
-import multiprocessing
 import os
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -65,6 +62,7 @@ import numpy as np
 
 from .artifacts import atomic_open, csv_block, remove_stale_temps
 from .numerics import make_rng, require_fields, require_finite
+from .parallel import ordered_map
 
 SPLITS = ("train", "cis_val", "cis_test", "trans_val", "trans_test")
 DOMAIN_TOKENS = ("real", "synthetic")
@@ -437,24 +435,24 @@ def save_csv(dataset: Dataset, path) -> None:
 
     First the ``<file>.<pid>.tmp`` that a killed writer left for either file
     is deleted, and no other file. Floats use shortest round-trip repr. The
-    rows are formatted in blocks of ``_BLOCK_ROWS`` (256) rows on a pool of
-    ``min(usable cores, rows // ROWS_PER_WORKER)`` forked worker processes,
-    with at most two blocks per worker in flight; with one worker, or where
-    ``os.sched_getaffinity`` is missing, they are formatted in this process and
-    no process starts. The bytes do not depend on the worker count. This
-    process writes the blocks in row order and computes the CSV's SHA-256 from
-    them as it writes. The cache holds the five columns as ``load_csv``'s parse
-    builds them and that SHA-256; both files are replaced atomically, the CSV
-    first, so a cache left from an earlier CSV no longer matches and is ignored.
+    rows are formatted in blocks of ``_BLOCK_ROWS`` rows, on one worker process
+    per ``ROWS_PER_WORKER`` rows up to one per usable core, or in this process
+    when that makes one; the bytes do not depend on it. This process writes the
+    blocks in row order and hashes them (SHA-256) as it writes. The cache holds
+    the five columns as ``load_csv``'s parse builds them and that hash; both
+    files are replaced atomically, the CSV first, so a cache left from an
+    earlier CSV no longer matches and is ignored.
     """
     path = Path(path)
     remove_stale_temps(path.parent, (path.name, cache_path(path).name))
     arrays = {name: getattr(dataset, name) for name in _COLUMNS}
     n = len(dataset)
     blocks = ([a[i:i + _BLOCK_ROWS] for a in arrays.values()] for i in range(0, n, _BLOCK_ROWS))
+    workers = _csv_workers(n)
+    formatted = (ordered_map(_csv_block, blocks, workers) if workers > 1
+                 else (_csv_block(block) for block in blocks))
     digest = hashlib.sha256()
-    with (contextlib.closing(_in_order(_csv_block, blocks, _csv_workers(n))) as formatted,
-          atomic_open(path, "wb") as fh):
+    with contextlib.closing(formatted), atomic_open(path, "wb") as fh:
         for chunk in itertools.chain([csv_block([expected_header(dataset.feature_dim)])],
                                      formatted):
             digest.update(chunk)
@@ -481,26 +479,6 @@ def _csv_workers(rows: int) -> int:
     if usable is None:
         return 1
     return max(1, min(len(usable(0)), rows // ROWS_PER_WORKER))
-
-
-def _in_order(fn, items, workers: int):
-    """Yield ``fn(item)`` for each item in order: in this process with one
-    worker, else on a pool of ``workers`` processes with at most two items per
-    worker in flight, so finished results never pile up here."""
-    if workers == 1:
-        yield from map(fn, items)
-        return
-    # forked, not spawned: a spawned worker would import numpy and raredapt
-    # again, which costs more than the formatting it takes over
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        pending = collections.deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 def cache_path(path) -> Path:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from raredapt import Dataset, GenSpec, cli, data, generate, make_rng
+from raredapt import Dataset, GenSpec, data, generate, make_rng, parallel
 from raredapt.domains import BatchPair
 from raredapt.network import Network, NetworkSpec
 
@@ -31,7 +31,7 @@ def tiny_gen_spec(**overrides) -> GenSpec:
 @pytest.fixture(autouse=True)
 def blas_thread_count_is_restored():
     """Every test leaves the process's OpenBLAS thread count as it found it."""
-    blas = cli._blas_threads()
+    blas = parallel.blas_threads()
     before = blas[0]() if blas else None
     yield
     if blas:

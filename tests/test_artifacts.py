@@ -201,3 +201,54 @@ def test_only_domains_names_a_method():
     sample = ast.parse("from .domains import METHODS, ADVERSARIAL as A\n"
                        "a = m in ADVERSARIAL\nb = domains.ADVERSARIAL\n")
     assert len(_method_references(sample)) == 3
+
+
+_PROCESS_NAMES = {"ProcessPoolExecutor", "multiprocessing", "get_context", "ctypes"}
+
+
+def _process_references(tree: ast.AST) -> list[str]:
+    """Every import, name or attribute of ``ProcessPoolExecutor``,
+    ``multiprocessing``, ``get_context``, ``ctypes`` or ``os.fork``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module.split(".")[0], *(alias.name for alias in node.names),
+                     *(f"{module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else ""
+            names = [node.attr, f"{owner}.{node.attr}"]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name in _PROCESS_NAMES or name == "os.fork"]
+    return found
+
+
+def test_only_parallel_starts_processes_or_loads_a_c_library():
+    # parallel.py decides how raredapt forks workers and holds their BLAS
+    # threads; the other modules hand it their work
+    sources = sorted(PACKAGE.glob("*.py"))
+    owner = PACKAGE / "parallel.py"
+    assert _process_references(ast.parse(owner.read_text(encoding="utf-8")))
+    found = {
+        path.name: _process_references(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sources
+        if path != owner
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the scan itself finds each kind of reference, and not the broken-pool error
+    sample = ast.parse(
+        "import multiprocessing, ctypes.util\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "from os import fork\n"
+        "ctx = mp.get_context('fork')\n"
+        "os.fork()\n"
+        "pid = os.getpid()\n"
+    )
+    assert len(_process_references(sample)) == 6

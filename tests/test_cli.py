@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from raredapt import cli, data as data_module, generate, save_checkpoint, save_csv
+from raredapt import cli, data as data_module, generate, parallel, save_checkpoint, save_csv
 from raredapt.checkpoint import MAGIC
 from raredapt.training import CORAL_LAYERS, DISCRIMINATOR_LABELS, TrainConfig, TrainingDiverged
 from raredapt.cli import main
@@ -97,13 +97,13 @@ def test_sweep_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
     asked = []
 
     def recording_pool(max_workers, **kwargs):
-        asked.append(max_workers)
+        asked.append((max_workers, kwargs["mp_context"].get_start_method()))
         return ProcessPoolExecutor(max_workers=1, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording_pool)
     data = write_tiny_csv(tmp_path)
     assert main(sweep_argv(data, tmp_path / "sweep", jobs=8, counts="0")) == 0
-    assert asked == [2]
+    assert asked == [(2, "fork")]
 
 
 def test_sweep_cells_identical_with_one_and_two_jobs(tmp_path):
@@ -180,7 +180,7 @@ def record_cell_threads(monkeypatch) -> None:
     def recording_cell(job):
         result = real_cell(job)
         tasks = Path("/proc/self/task")
-        blas = cli._blas_threads()
+        blas = parallel.blas_threads()
         (job[2] / "threads.json").write_text(json.dumps({
             "os": len(list(tasks.iterdir())) if tasks.is_dir() else None,
             "blas": blas[0]() if blas else None,
@@ -206,12 +206,12 @@ def test_sweep_workers_start_no_blas_helper_thread(tmp_path, monkeypatch):
     assert [cell["os"] for cell in sweep_cell_threads(tmp_path, monkeypatch, 2)] == [1] * 4
 
 
-@pytest.mark.skipif(cli._blas_threads() is None, reason="no OpenBLAS found")
+@pytest.mark.skipif(parallel.blas_threads() is None, reason="no OpenBLAS found")
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_workers_inherit_one_blas_thread_and_the_parent_keeps_its_count(
     tmp_path, monkeypatch, jobs
 ):
-    get_threads = cli._blas_threads()[0]
+    get_threads = parallel.blas_threads()[0]
     before = get_threads()
     seen = sweep_cell_threads(tmp_path, monkeypatch, jobs)
     assert [cell["blas"] for cell in seen] == [1 if jobs > 1 else before] * 4

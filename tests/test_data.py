@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raredapt import GenSpec, class_histogram, data, datasets_equal, generate, load_csv, save_csv
+from raredapt import (
+    GenSpec, class_histogram, data, datasets_equal, generate, load_csv, parallel, save_csv
+)
 from raredapt.data import (
     DataFormatError, SPLITS, Dataset, _parses_as_numpy_float, cache_path, synthetic_map
 )
@@ -557,12 +559,12 @@ def test_save_csv_on_a_pool_writes_the_bytes_of_a_one_worker_save(tmp_path, monk
 
     class RecordingPool(ProcessPoolExecutor):
         def __init__(self, **kwargs):
-            started.append(kwargs["max_workers"])
+            started.append((kwargs["max_workers"], kwargs["mp_context"].get_start_method()))
             super().__init__(**kwargs)
 
-    monkeypatch.setattr(data, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
     save_csv(ds, pooled)
-    assert started == [2]
+    assert started == [(2, "fork")]
     assert hashlib.sha256(pooled.read_bytes()).hexdigest() == TINY_CSV_SHA256
     assert cache_path(pooled).read_bytes() == cache_path(one).read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -575,7 +577,7 @@ def test_save_csv_below_the_rows_per_worker_starts_no_process(tmp_path, monkeypa
     def no_pool(**kwargs):
         raise AssertionError("save_csv started a process pool")
 
-    monkeypatch.setattr(data, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     ds = generate(tiny_gen_spec())
     if cores is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
