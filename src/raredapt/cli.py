@@ -12,7 +12,8 @@ gen-data writes two files: the dataset CSV and, beside it, its parsed cache
 ``<out>.parsed.npz``, which train, sweep and project read instead of parsing
 the CSV while the cache still matches the CSV's bytes (see
 :func:`raredapt.data.load_csv`). The cache is safe to delete. gen-data formats
-a large CSV's rows on worker processes (see :func:`raredapt.data.save_csv`).
+a large CSV's rows on forked worker processes that inherit the dataset (see
+:func:`raredapt.data.save_csv`).
 Before writing, it deletes the ``<file>.<pid>.tmp`` that a killed gen-data
 left for either file, and no other file.
 
@@ -45,17 +46,18 @@ error line, and anything else raises with its traceback.
 An undefined (NaN) metric is an empty cell in sweep_<method>.csv and
 comparison.csv, null in JSON, and nan in history.csv.
 
-The sweep runs its cells on min(--jobs, cells) worker processes (see
-:mod:`raredapt.parallel`); each worker loads the dataset with ``load_csv``,
-from the parsed cache while it matches, in its first cell and keeps it for the
-rest. An unreadable CSV ends the sweep with one error and no output directory.
+The sweep runs its cells on W = min(--jobs, cells) forked worker processes,
+worker j taking cells j, j + W, ... in order (see :mod:`raredapt.parallel`);
+each worker loads the dataset with ``load_csv``, from the parsed cache while it
+matches, in its first cell and keeps it for the rest. An unreadable CSV ends the sweep with one error and no output directory.
 A malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
 2): counts and seeds are non-negative ints, seeds distinct, counts strictly
 increasing.
 
 A worker process that dies (killed by a signal or the OOM killer) in sweep or
-gen-data ends the command with one error line and exit 1; gen-data then
-leaves the earlier CSV and cache, or none, and no temporary file.
+gen-data ends the command with exit 1 and one error line that names its pid,
+its exit code or signal, and the item it did not return; gen-data then leaves
+the earlier CSV and cache, or none, and no temporary file.
 """
 
 from __future__ import annotations

@@ -75,9 +75,11 @@ _COLUMNS = tuple(_DTYPES)
 _CSV_SHA256 = "csv_sha256"
 _CACHE_KEYS = (_CSV_SHA256, *_COLUMNS)
 # save_csv formats its rows on one process per ROWS_PER_WORKER rows, up to one
-# per usable core, in blocks of _BLOCK_ROWS rows
+# per usable core, in blocks of _BLOCK_ROWS rows; a block of 32 features (about
+# 40 KB) fits in a pipe's default 64 KiB, so a worker hands it over and goes on
+# without waiting for this process to read it
 ROWS_PER_WORKER = 4096
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 64
 
 
 class DataFormatError(ValueError):
@@ -435,10 +437,12 @@ def save_csv(dataset: Dataset, path) -> None:
 
     First the ``<file>.<pid>.tmp`` that a killed writer left for either file
     is deleted, and no other file. Floats use shortest round-trip repr. The
-    rows are formatted in blocks of ``_BLOCK_ROWS`` rows, on one worker process
-    per ``ROWS_PER_WORKER`` rows up to one per usable core, or in this process
-    when that makes one; the bytes do not depend on it. This process writes the
-    blocks in row order and hashes them (SHA-256) as it writes. The cache holds
+    rows are formatted in blocks of ``_BLOCK_ROWS`` rows, on a forked pool of one
+    worker per ``ROWS_PER_WORKER`` rows up to one per usable core, or in this
+    process when that makes one; the bytes do not depend on it. The workers
+    inherit the columns and send back only the formatted blocks (see
+    :func:`raredapt.parallel.ordered_map`). This process writes the blocks in
+    row order and hashes them (SHA-256) as it writes. The cache holds
     the five columns as ``load_csv``'s parse builds them and that hash; both
     files are replaced atomically, the CSV first, so a cache left from an
     earlier CSV no longer matches and is ignored.
@@ -446,11 +450,14 @@ def save_csv(dataset: Dataset, path) -> None:
     path = Path(path)
     remove_stale_temps(path.parent, (path.name, cache_path(path).name))
     arrays = {name: getattr(dataset, name) for name in _COLUMNS}
-    n = len(dataset)
-    blocks = ([a[i:i + _BLOCK_ROWS] for a in arrays.values()] for i in range(0, n, _BLOCK_ROWS))
-    workers = _csv_workers(n)
-    formatted = (ordered_map(_csv_block, blocks, workers) if workers > 1
-                 else (_csv_block(block) for block in blocks))
+
+    def block(start: int) -> bytes:
+        return _csv_block([column[start:start + _BLOCK_ROWS] for column in arrays.values()])
+
+    starts = range(0, len(dataset), _BLOCK_ROWS)
+    workers = _csv_workers(len(dataset))
+    formatted = (ordered_map(block, starts, workers) if workers > 1
+                 else (block(start) for start in starts))
     digest = hashlib.sha256()
     with contextlib.closing(formatted), atomic_open(path, "wb") as fh:
         for chunk in itertools.chain([csv_block([expected_header(dataset.feature_dim)])],

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 from types import SimpleNamespace
 
@@ -40,11 +39,31 @@ def blas_thread_count_is_restored():
 
 @pytest.fixture(autouse=True)
 def no_child_process_is_left():
-    """Every test joins each process it starts, a pool's workers too."""
+    """Every test reaps each process it starts, a map's workers too, however
+    they were started."""
     yield
-    # active_children() also reaps the children that have exited
-    left = multiprocessing.active_children()
-    assert not left, f"the test left child processes running: {left}"
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # this process has no child at all
+        return
+    left = f"child process {pid}, which had exited" if pid else "a running child process"
+    raise AssertionError(f"the test left {left} unreaped")
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to record, in the returned list, the pid of each
+    child this process forks."""
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
 
 
 def force_csv_workers(monkeypatch, cores: int = 2, block_rows: int = 7) -> None:

@@ -1,13 +1,12 @@
 import csv
 import dataclasses
 import errno
-import functools
 import hashlib
 import json
 import math
 import os
+import re
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from raredapt.training import CORAL_LAYERS, DISCRIMINATOR_LABELS, TrainConfig, T
 from raredapt.cli import main
 from raredapt.data import cache_path
 
-from conftest import force_csv_workers, rows_moved, tiny_gen_spec
+from conftest import counting_forks, force_csv_workers, rows_moved, tiny_gen_spec
 from test_checkpoint import make_checkpoint, rewrite_header
 from test_data import OUTSIZED_IDS, _write_tiny_with_cell, counting_parses
 
@@ -94,16 +93,10 @@ def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
 
 
 def test_sweep_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
-    asked = []
-
-    def recording_pool(max_workers, **kwargs):
-        asked.append((max_workers, kwargs["mp_context"].get_start_method()))
-        return ProcessPoolExecutor(max_workers=1, **kwargs)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording_pool)
     data = write_tiny_csv(tmp_path)
+    forks = counting_forks(monkeypatch)
     assert main(sweep_argv(data, tmp_path / "sweep", jobs=8, counts="0")) == 0
-    assert asked == [(2, "fork")]
+    assert len(forks) == 2
 
 
 def test_sweep_cells_identical_with_one_and_two_jobs(tmp_path):
@@ -176,7 +169,6 @@ def record_cell_threads(monkeypatch) -> None:
     OS thread count and the BLAS thread count of its worker after the cell."""
     real_cell = cli._sweep_run_one
 
-    @functools.wraps(real_cell)  # pickled by name, so the forked workers run the patch
     def recording_cell(job):
         result = real_cell(job)
         tasks = Path("/proc/self/task")
@@ -250,15 +242,15 @@ def test_a_rerun_of_gen_data_deletes_only_the_temp_files_a_killed_writer_left(tm
 def exit_in_worker(monkeypatch, module, name) -> None:
     """Patch ``module.name`` with a function that ends its process at once, as
     a worker killed by a signal or the OOM killer ends."""
-    @functools.wraps(getattr(module, name))  # pickled by name, so the forked workers run it
     def killed(*args):
         os._exit(3)
 
     monkeypatch.setattr(module, name, killed)
 
 
-POOL_BROKEN = ("error: A process in the process pool was terminated abruptly while the future "
-               "was running or pending.\n")
+# the error line of a worker killed as above, with its pid, the item (counted
+# from 1) it did not return, and the number of items
+POOL_BROKEN = r"error: worker process \d+ exited with code 3 before returning item 1 of {}\n"
 
 
 @pytest.mark.parametrize("earlier", [True, False])
@@ -273,7 +265,8 @@ def test_gen_data_worker_that_dies_is_one_error_and_leaves_the_earlier_files(
     exit_in_worker(monkeypatch, data_module, "_csv_block")
     capsys.readouterr()
     assert main(["gen-data", "--spec", str(write_tiny_spec(tmp_path)), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == POOL_BROKEN
+    # the tiny dataset's 1,031 rows make 148 blocks of 7
+    assert re.fullmatch(POOL_BROKEN.format(148), capsys.readouterr().err)
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "spec.json"}
     assert after == {name: b for name, b in before.items() if name != "spec.json"}
     assert out.exists() == earlier
@@ -285,7 +278,7 @@ def test_sweep_worker_that_dies_is_one_error(tmp_path, monkeypatch, capsys, jobs
     exit_in_worker(monkeypatch, cli, "_sweep_run_one")
     capsys.readouterr()
     assert main(sweep_argv(data, tmp_path / "sweep", jobs=jobs)) == 1
-    assert capsys.readouterr().err == POOL_BROKEN
+    assert re.fullmatch(POOL_BROKEN.format(4), capsys.readouterr().err)  # 2 counts x 2 seeds
     assert not (tmp_path / "sweep").exists()
 
 

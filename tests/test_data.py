@@ -3,7 +3,6 @@ import hashlib
 import os
 import re
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -12,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raredapt import (
-    GenSpec, class_histogram, data, datasets_equal, generate, load_csv, parallel, save_csv
+    GenSpec, class_histogram, data, datasets_equal, generate, load_csv, save_csv
 )
 from raredapt.data import (
     DataFormatError, SPLITS, Dataset, _parses_as_numpy_float, cache_path, synthetic_map
 )
 
-from conftest import force_csv_workers, tiny_gen_spec
+from conftest import counting_forks, force_csv_workers, tiny_gen_spec
 
 
 def test_default_spec_rare_train_count_is_41():
@@ -555,16 +554,9 @@ def test_save_csv_on_a_pool_writes_the_bytes_of_a_one_worker_save(tmp_path, monk
     one, pooled = tmp_path / "one.csv", tmp_path / "pooled.csv"
     save_csv(ds, one)
     force_csv_workers(monkeypatch)
-    started = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, **kwargs):
-            started.append((kwargs["max_workers"], kwargs["mp_context"].get_start_method()))
-            super().__init__(**kwargs)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    forks = counting_forks(monkeypatch)
     save_csv(ds, pooled)
-    assert started == [(2, "fork")]
+    assert len(forks) == 2
     assert hashlib.sha256(pooled.read_bytes()).hexdigest() == TINY_CSV_SHA256
     assert cache_path(pooled).read_bytes() == cache_path(one).read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -574,10 +566,10 @@ def test_save_csv_on_a_pool_writes_the_bytes_of_a_one_worker_save(tmp_path, monk
 @pytest.mark.parametrize("cores", [None, 2])
 def test_save_csv_below_the_rows_per_worker_starts_no_process(tmp_path, monkeypatch, cores):
     # None: a platform without os.sched_getaffinity formats in process at any size
-    def no_pool(**kwargs):
-        raise AssertionError("save_csv started a process pool")
+    def no_fork():
+        raise AssertionError("save_csv forked a process")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     ds = generate(tiny_gen_spec())
     if cores is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
