@@ -76,7 +76,7 @@ import numpy as np
 from .artifacts import remove_stale_temps, write_csv, write_json, write_text
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
-    SPLITS, DataFormatError, Dataset, GenSpec, class_histogram, generate, load_csv, save_csv
+    SPLITS, Dataset, GenSpec, class_histogram, generate, load_csv, save_csv
 )
 from .domains import METHODS
 from .metrics import TABLE_COLUMNS, comparison_table, none_if_nan, table_row
@@ -275,7 +275,7 @@ def cmd_sweep(args) -> int:
         for count in args.counts
         for seed in args.seeds
     ]
-    results = list(ordered_map(_sweep_run_one, jobs, min(args.jobs, len(jobs))))
+    results = list(ordered_map(_sweep_run_one, jobs, args.jobs))
 
     rows = []
     failures = {}
@@ -316,7 +316,7 @@ def cmd_compare(args) -> int:
         try:
             table = json.loads(metrics_path.read_text(encoding="utf-8"))["table_row"]
             row = {k: (None if table[k] is None else float(table[k])) for k in TABLE_COLUMNS}
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CliError(f"malformed {metrics_path}: {type(exc).__name__}: {exc}") from exc
         entries.append((label, row))
     text, csv_text = comparison_table(entries)
@@ -443,10 +443,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError, CheckpointError, DataFormatError, TrainingDiverged, ValueError, OSError,
-        BrokenProcessPool,
-    ) as exc:
+    except (CliError, CheckpointError, TrainingDiverged, ValueError, OSError,
+            BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,11 +23,11 @@ save -> load reproduces every value bit for bit and re-saving is
 byte-identical. Synthetic samples carry split=train (they exist only as
 training augmentation) and location_id -1 (no physical camera).
 
-``load_csv`` reads the file in a single streaming pass: Python checks each
-line's four metadata cells, and numpy's C float parser reads the feature
-block, rounding exactly as ``float()`` does. Feature values with underscores
-(``1_0``), which ``float()`` accepts, are rejected; ``save_csv`` never writes
-them.
+``load_csv`` parses the file in one plain pass over its lines: each line's
+four metadata cells are split off and checked, and ``float()`` reads each
+feature value, limited to numpy's float grammar. Feature values with
+underscores (``1_0``) or non-ASCII digits, which ``float()`` accepts, are
+rejected; ``save_csv`` never writes them. Faults are reported in file order.
 
 Parsed cache: ``save_csv`` also writes ``<path>.parsed.npz``, the five
 ``Dataset`` columns in numpy's ``.npz`` format plus the SHA-256 of the CSV
@@ -55,6 +55,7 @@ import hashlib
 import itertools
 import os
 import zipfile
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -545,22 +546,21 @@ def load_csv(path) -> Dataset:
     returned without parsing the CSV; one that does not is ignored. The
     result and every error below are the parse's either way.
 
-    The parse is one streaming pass over the file, which is never held in
-    memory whole: the header fixes the feature dimension, each data line's
-    four metadata cells are split off and checked in Python, and
-    ``np.loadtxt`` parses the feature block with the same correctly rounded
-    conversion as ``float()``.
-    Feature values follow ``float()``'s grammar minus underscores (``1_0`` is
-    rejected) and non-ASCII digits, neither of which ``save_csv`` writes.
+    The parse is one plain pass over the file, which is never held in memory
+    whole: the header fixes the feature dimension, then each data line's four
+    metadata cells are split off and checked, and ``float()`` reads its
+    feature values into an unboxed float64 buffer. Feature values follow
+    numpy's float grammar, which is ``float()``'s minus underscores (``1_0``
+    is rejected) and non-ASCII digits, neither of which ``save_csv`` writes.
 
     The class count is the largest ``class_id`` plus one, so an id outside
     int64, or a class_id no smaller than the row count (every class needs a
     real train row), is rejected before anything per class is built.
 
-    Errors carry 1-based line numbers; a bad feature value is reported in
-    ``float()``'s words (found by a second scan, on that error path only). A
-    file with one fault reports that fault; in a file with several, the one
-    reported need not be the first in file order.
+    Errors carry 1-based line numbers, and a bad value is reported in the
+    words of ``float()`` or ``int()``. Each line is checked in full before
+    the next is read, so the fault reported is the first in file order; the
+    class_id-below-row-count check and ``Dataset`` validation follow the pass.
     """
     cached = _load_cache(path)
     return cached if cached is not None else _parse_csv(path)
@@ -579,26 +579,37 @@ def _parse_csv(path) -> Dataset:
                 f"{path}: line 1: malformed header; expected f0..f{{d-1}},class_id,domain,"
                 f"location_id,split, got {header_text[:80]!r}"
             )
-        meta = ([], [], [], [])
-        feature_lines = _feature_lines(fh, path, d, meta)
-        first = next(feature_lines, None)
-        if first is None:
-            raise DataFormatError(f"{path}: no data rows")
-        try:
-            feats = np.loadtxt(itertools.chain([first], feature_lines), delimiter=",",
-                               dtype=np.float64, ndmin=2, comments=None)
-        except DataFormatError:  # a metadata fault found while numpy read the lines
-            raise
-        except ValueError as exc:
-            _raise_first_bad_feature(path, d)
-            raise DataFormatError(f"{path}: {exc}") from exc
-    classes, domains, locations, splits = meta
-    try:
-        class_ids = np.array(classes, dtype=np.int64)
-        location_ids = np.array(locations, dtype=np.int64)
-    except OverflowError:
-        _raise_first_outsized_id(path, classes, locations)
-        raise
+        feats = array("d")  # unboxed, so a large file costs 8 bytes per value
+        classes, domains, locations, splits = [], [], [], []
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                line = line.rstrip("\n")
+                cells = line.rsplit(",", _META_COLUMNS)
+                if len(cells) != _META_COLUMNS + 1 or cells[0].count(",") != d - 1:
+                    raise ValueError(
+                        f"expected {d + _META_COLUMNS} columns ({d} features + "
+                        f"{_META_COLUMNS} metadata), got {line.count(',') + 1}"
+                    )
+                features, class_id, domain, location_id, split = cells
+                class_id, location_id = int(class_id), int(location_id)
+                if domain not in DOMAIN_TOKENS:
+                    raise ValueError(f"unknown domain token {domain!r}")
+                if split not in SPLITS:
+                    raise ValueError(f"unknown split token {split!r}")
+                for name, value in (("class_id", class_id), ("location_id", location_id)):
+                    if not -2**63 <= value < 2**63:
+                        raise ValueError(f"{name} {value} is outside int64")
+                read = float if _plain(features) else _numpy_float
+                feats.extend(map(read, features.split(",")))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: line {line_no}: {exc}") from exc
+            classes.append(class_id)
+            locations.append(location_id)
+            domains.append(domain)
+            splits.append(split)
+    if not classes:
+        raise DataFormatError(f"{path}: no data rows")
+    class_ids = np.array(classes, dtype=np.int64)
     top = int(np.argmax(class_ids))
     if class_ids[top] >= len(class_ids):
         raise DataFormatError(
@@ -607,81 +618,31 @@ def _parse_csv(path) -> Dataset:
         )
     try:
         return Dataset(
-            features=feats,
+            features=np.frombuffer(feats, dtype=np.float64).reshape(-1, d),
             class_ids=class_ids,
             domains=np.array(domains),
-            location_ids=location_ids,
+            location_ids=np.array(locations, dtype=np.int64),
             splits=np.array(splits),
         )
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _feature_lines(lines, path, d: int, meta: tuple[list, list, list, list]):
-    """Check the metadata cells of each data line, append them to ``meta`` and
-    yield the line's feature text; data lines are numbered from 2."""
-    classes, domains, locations, splits = meta
-    for line_no, line in enumerate(lines, start=2):
-        line = line.rstrip("\n")
-        cells = line.rsplit(",", _META_COLUMNS)
-        if len(cells) != _META_COLUMNS + 1 or cells[0].count(",") != d - 1:
-            raise DataFormatError(
-                f"{path}: line {line_no}: expected {d + _META_COLUMNS} columns "
-                f"({d} features + {_META_COLUMNS} metadata), got {line.count(',') + 1}"
-            )
-        features, class_id, domain, location_id, split = cells
-        if not features.strip():
-            # np.loadtxt skips a blank line, which would shift every later row.
-            raise DataFormatError(
-                f"{path}: line {line_no}: could not convert string to float: {features!r}"
-            )
-        try:
-            classes.append(int(class_id))
-            locations.append(int(location_id))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: line {line_no}: {exc}") from exc
-        if domain not in DOMAIN_TOKENS:
-            raise DataFormatError(f"{path}: line {line_no}: unknown domain token {domain!r}")
-        if split not in SPLITS:
-            raise DataFormatError(f"{path}: line {line_no}: unknown split token {split!r}")
-        domains.append(domain)
-        splits.append(split)
-        yield features
+def _plain(text: str) -> bool:
+    """Whether ``float()`` reads the values in ``text`` as numpy does: on ASCII
+    text it does, bar underscores (numpy rejects them) and \\x1c-\\x1f (numpy strips them)."""
+    return text.isascii() and not (
+        "_" in text or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text)
 
 
-def _raise_first_outsized_id(path, classes: list[int], locations: list[int]) -> None:
-    """Raise for the first line whose class_id or location_id lies outside int64."""
-    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    for line_no, ids in enumerate(zip(classes, locations), start=2):
-        for name, value in zip(("class_id", "location_id"), ids):
-            if not lo <= value <= hi:
-                raise DataFormatError(f"{path}: line {line_no}: {name} {value} is outside int64")
-
-
-def _raise_first_bad_feature(path, d: int) -> None:
-    """Rescan the file for the first line np.loadtxt rejected and raise its error
-    in ``float()``'s words; return if every feature value parses."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line_no, features in enumerate(_feature_lines(fh, path, d, ([], [], [], [])), start=2):
-            for token in features.split(","):
-                if not _parses_as_numpy_float(token):
-                    raise DataFormatError(
-                        f"{path}: line {line_no}: could not convert string to float: {token!r}"
-                    )
-
-
-def _parses_as_numpy_float(token: str) -> bool:
-    """np.loadtxt's float grammar: Unicode whitespace around an ASCII
-    ``float()`` literal without underscores."""
+def _numpy_float(token: str) -> float:
+    """``token`` read with numpy's float grammar: Unicode whitespace around an
+    ASCII ``float()`` literal without underscores; else ``float()``'s ValueError."""
     body = token.strip()
-    if not body.isascii() or "_" in body:
-        return False
-    try:
-        float(body)
-    except ValueError:
-        return False
-    return True
+    if body.isascii() and "_" not in body:
+        with contextlib.suppress(ValueError):
+            return float(body)
+    raise ValueError(f"could not convert string to float: {token!r}")
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

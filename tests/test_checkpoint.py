@@ -86,6 +86,7 @@ def test_malformed_header_fields_raise_checkpoint_error(tmp_path):
         (drop("epoch"), "KeyError: 'epoch'"),
         (setting("input_dim", "wide", "network"), "ValueError: input_dim must be int, got 'wide'"),
         (lambda header: list(header), "header is not a JSON object"),
+        (setting("format_version", 2), "format version 2 != 3"),
         (setting("feature_dims", [63, 3], "network"),
          "param_count 79 != 543 implied by the network spec"),
         # dimensions are checked, never converted: "5" or 5.7 must not load as 5

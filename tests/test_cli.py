@@ -92,6 +92,13 @@ def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_sweep_jobs_that_is_not_an_int_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    err = usage_error(sweep_argv(tmp_path / "data.csv", out, jobs="x"), capsys)
+    assert "argument --jobs: invalid int value: 'x'" in err
+    assert not out.exists()
+
+
 def test_sweep_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
     data = write_tiny_csv(tmp_path)
     forks = counting_forks(monkeypatch)
@@ -612,6 +619,34 @@ def test_project_malformed_checkpoint_header_is_a_clean_error(tmp_path, capsys):
         assert err.startswith("error: ") and str(ckpt) in err and reason in err
 
 
+@pytest.mark.parametrize("command, missing", [
+    (["compare", "--runs"], "selected_metrics.json"),
+    (["project", "--data", "missing.csv", "--split", "trans_test", "--run"], "checkpoint.ckpt"),
+])
+def test_run_directory_without_the_file_read_is_one_error(tmp_path, capsys, command, missing):
+    run, out = tmp_path / "run", tmp_path / "out"
+    run.mkdir()
+    assert main([*command, str(run), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: run directory {run} has no {missing}\n"
+    assert not out.exists()
+
+
+def test_project_without_the_synthetic_pool_has_no_bimodality_score(tmp_path, capsys):
+    data = write_tiny_csv(tmp_path)
+    run, proj = tmp_path / "run", tmp_path / "proj"
+    assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
+                 "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 0
+    capsys.readouterr()
+    assert main(["project", "--run", str(run), "--data", str(data), "--split", "trans_test",
+                 "--no-include-synthetic", "--out", str(proj)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("bimodality score unavailable: rare class has only real samples; "
+                          "need both domains\n")
+    assert "bimodality score:" not in out
+    projection = json.loads((proj / "projection.json").read_text(encoding="utf-8"))
+    assert projection["bimodality_score"] is None
+
+
 def test_project_unknown_split_is_a_usage_error(tmp_path, capsys):
     # rejected by the parser, before any checkpoint or CSV is read
     out = tmp_path / "proj"
@@ -890,6 +925,7 @@ def test_compare_names_runs_with_the_same_directory_name_apart(tmp_path):
         ('{"method": "baseline"}', "KeyError: 'table_row'"),
         ('{"table_row": {"trans_rare_acc": 1.0}}', "KeyError: 'cis_rare_acc'"),
         ("{not json", "JSONDecodeError"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "RecursionError", id="nested-100000"),
     ],
 )
 def test_compare_malformed_selected_metrics_names_the_file(tmp_path, capsys, content, reason):
@@ -898,5 +934,5 @@ def test_compare_malformed_selected_metrics_names_the_file(tmp_path, capsys, con
     (run / "selected_metrics.json").write_text(content, encoding="utf-8")
     assert main(["compare", "--runs", str(run), "--out", str(tmp_path / "cmp")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert str(run / "selected_metrics.json") in err and reason in err

@@ -3,6 +3,7 @@ import hashlib
 import os
 import re
 import struct
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from raredapt import (
     GenSpec, class_histogram, data, datasets_equal, generate, load_csv, save_csv
 )
 from raredapt.data import (
-    DataFormatError, SPLITS, Dataset, _parses_as_numpy_float, cache_path, synthetic_map
+    DataFormatError, SPLITS, Dataset, _numpy_float, cache_path, synthetic_map
 )
 
 from conftest import counting_forks, force_csv_workers, tiny_gen_spec
@@ -75,6 +76,25 @@ def test_spec_rejects_untrainable_split_sizes_and_wrong_types():
         "seed must be int, got True",
     ]
     assert tiny_gen_spec(class_mean_scale=2, train_counts=None).class_mean_scale == 2
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((120, 90, 41), "train_counts has 3 entries for 4 classes"),
+    ((120, 0, 60, 41), "train counts must be >= 1, got (120, 0, 60, 41)"),
+])
+def test_spec_rejects_train_counts_of_another_length_or_below_one(counts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tiny_gen_spec(train_counts=counts)
+
+
+def test_explicit_gap_fields_equal_to_the_parametric_map_draw_the_same_dataset():
+    spec = tiny_gen_spec()
+    gap_a, gap_b, _ = synthetic_map(spec)
+    explicit = dataclasses.replace(spec, gap_matrix=tuple(map(tuple, gap_a.tolist())),
+                                   gap_offset_vector=tuple(gap_b.tolist()))
+    ds, again = generate(spec), generate(explicit)
+    assert datasets_equal(again, ds)
+    assert np.array_equal(again.features.view(np.uint64), ds.features.view(np.uint64))
 
 
 def test_histogram_sums_and_empty_selection():
@@ -331,6 +351,13 @@ def test_csv_bad_cell_on_a_later_line_names_that_line(tmp_path, column, cell, re
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["0.5\x1c", "\x1f0.5", "\xa00.5\u2003", " 0.5\t"])
+def test_csv_feature_value_in_whitespace_numpy_strips_loads(tmp_path, cell):
+    path = tmp_path / "spaced.csv"
+    _write_tiny_with_cell(path, 1, cell)
+    assert load_csv(path).features[5, 1] == 0.5
+
+
 OUTSIZED_IDS = [
     (2, "11", "class_id 11 is not below the number of data rows (11); "
               "every class needs a real train row"),
@@ -352,21 +379,45 @@ def test_csv_outsized_id_is_rejected_before_classes_are_built(tmp_path, column, 
         load_csv(path)
 
 
+def test_csv_faults_are_reported_in_file_order(tmp_path):
+    rows = [row.split(",") for row in _tiny_rows()]
+    rows[1][2] = str(2**63)  # class_id on line 3
+    rows[7][5] = "validation"  # split on line 9
+    rows = [",".join(row) for row in rows]
+    path = tmp_path / "two_faults.csv"
+    _write_rows(path, TINY_HEADER, rows)
+    reason = f"line 3: class_id {2**63} is outside int64"
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+        load_csv(path)
+
+
 @settings(max_examples=300, deadline=None)
-@given(token=st.text(alphabet=list("0123456789.eE+-_ #nafiNx\t\x0c\x1c\xa0\u0661"), min_size=1,
-                     max_size=8))
-def test_bad_feature_rescan_agrees_with_numpy_parser(token):
+@given(token=st.text(alphabet=list("0123456789.eE+-_ #nafiNx\t\x0b\x0c\x1c\x1f\xa0\u0661"),
+                     min_size=1, max_size=8))
+@example(token="0\x1c")  # numpy strips \x1c as whitespace, float() rejects it
+def test_feature_value_grammar_agrees_with_numpy_parser(token):
+    ours = _outcome(_numpy_float, token)
+    numpy = _outcome(
+        lambda t: np.loadtxt([t, "0"], delimiter=",", dtype=np.float64, comments=None)[0], token)
+    if numpy.startswith("ValueError"):
+        assert ours == f"ValueError: could not convert string to float: {token!r}"
+    else:
+        assert ours == numpy
+    if data._plain(token):  # the parse reads the token with float()
+        assert _outcome(float, token) == ours
+
+
+def _outcome(read, token) -> str:
+    """``repr`` of the float ``read(token)`` returns, or the message of its ValueError."""
     try:
-        np.loadtxt([token, "0"], delimiter=",", dtype=np.float64, comments=None)
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert _parses_as_numpy_float(token) == accepted
+        return repr(float(read(token)))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 def test_csv_blank_feature_of_a_one_feature_file_names_its_line(tmp_path):
     rows = [row.split(",", 1)[1] for row in _tiny_rows()]  # drop f0, keep f1 as the only feature
-    rows[3] = "," + rows[3].split(",", 1)[1]  # np.loadtxt would skip this blank feature text
+    rows[3] = "," + rows[3].split(",", 1)[1]
     path = tmp_path / "one.csv"
     _write_rows(path, ["f0", *TINY_HEADER[2:]], rows)
     reason = "line 5: could not convert string to float: ''"
@@ -402,6 +453,33 @@ def test_dataset_unknown_token_is_named_as_a_plain_string(columns, message):
         Dataset(features=np.zeros((2, 1)), class_ids=[0, 0], location_ids=[1, 2], **columns)
 
 
+def _columns(*rows):
+    """Dataset columns of one feature (0.0) from ``(class_id, domain, location_id, split)`` rows."""
+    class_ids, domains, location_ids, splits = zip(*rows)
+    return dict(features=np.zeros((len(rows), 1)), class_ids=class_ids, domains=domains,
+                location_ids=location_ids, splits=splits)
+
+
+TWO_TRAIN_ROWS = _columns((0, "real", 1, "train"), (0, "real", 2, "train"))
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({**TWO_TRAIN_ROWS, "features": np.zeros(2)}, "features must be 2-D, got shape (2,)"),
+    ({**TWO_TRAIN_ROWS, "class_ids": [0]}, "class_ids has shape (1,), expected (2,)"),
+    ({**TWO_TRAIN_ROWS, "class_ids": [0, -1]}, "class_id out of range [0, 1)"),
+    (_columns((0, "real", 1, "train"), (1, "real", 2, "cis_test")),
+     "class 1 has no real train samples"),
+    (_columns((0, "real", 1, "train"), (1, "real", 1, "train"), (0, "synthetic", -1, "train"),
+              (1, "synthetic", -1, "train")),
+     "synthetic samples span classes [0, 1]; synthetic data must belong to the single rare class"),
+    (_columns((0, "real", 1, "train"), (1, "real", 1, "train"), (1, "synthetic", -1, "cis_val")),
+     "synthetic samples must carry split 'train'"),
+])
+def test_dataset_rejects_columns_that_break_an_invariant(columns, message):
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        Dataset(**columns)
+
+
 def test_dataset_reused_trans_location_ids_are_listed_as_plain_ints():
     splits = ["train", "cis_test", "trans_test", "trans_val"]
     with pytest.raises(DataFormatError,
@@ -415,8 +493,8 @@ def test_splits_constant_matches_schema():
 
 
 def counting_parses():
-    """Spy on np.loadtxt, which only the CSV parse of ``load_csv`` calls."""
-    return mock.patch.object(np, "loadtxt", wraps=np.loadtxt)
+    """Spy on the CSV parse of ``load_csv``."""
+    return mock.patch.object(data, "_parse_csv", wraps=data._parse_csv)
 
 
 COLUMNS = ("features", "class_ids", "domains", "location_ids", "splits")
@@ -493,8 +571,24 @@ def _shift_features(blob: bytes) -> bytes:
     return blob[:at] + struct.pack("<H", length - 16) + blob[at + 2 :]
 
 
+def _narrow_features(cache, n: int, d: int) -> None:
+    """Rewrite the cache of ``n`` x ``d`` features, CRCs intact, with a features.npy
+    header that claims one column fewer, so numpy reads a row-shifted array and
+    stops short of the member's end."""
+    with zipfile.ZipFile(cache) as npz:
+        members = {name: npz.read(name) for name in npz.namelist()}
+    old = f"({n}, {d}),".encode()
+    members["features.npy"] = members["features.npy"].replace(
+        old, f"({n}, {d - 1}),".encode().ljust(len(old)), 1)
+    with zipfile.ZipFile(cache, "w") as npz:
+        for name, blob in members.items():
+            npz.writestr(name, blob)
+    with np.load(cache) as npz:
+        assert npz["features"].shape == (n, d - 1)
+
+
 @pytest.mark.parametrize("damage", ["truncated", "key missing", "object array", "shifted",
-                                    "float32 features", "a bare .npy"])
+                                    "one column fewer", "float32 features", "a bare .npy"])
 def test_damaged_cache_falls_back_to_the_parse(tmp_path, damage):
     ds = generate(tiny_gen_spec(synthetic_pool_size=20))
     path = tmp_path / "data.csv"
@@ -514,6 +608,8 @@ def test_damaged_cache_falls_back_to_the_parse(tmp_path, damage):
             np.savez(cache, **{**arrays, "features": features})
         elif damage == "shifted":
             cache.write_bytes(_shift_features(blob))
+        elif damage == "one column fewer":  # Dataset would take the shifted rows
+            _narrow_features(cache, *ds.features.shape)
         elif damage == "float32 features":  # Dataset would widen them to other values
             np.savez(cache, **{**arrays, "features": ds.features.astype(np.float32)})
         else:

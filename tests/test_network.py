@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,17 @@ def test_forward_shape_mismatch_errors():
         net.forward_features(np.zeros((2, 5)))
     with pytest.raises(ValueError, match="input dim"):
         net.forward_classifier(np.zeros((2, 4)))
+
+
+def test_load_state_of_another_shape_is_rejected_and_writes_nothing():
+    net = Network.initialize(small_spec(), make_rng(7))
+    before = net.snapshot()
+    n = before.size
+    for params in (np.zeros(n - 1), np.zeros((1, n))):
+        message = f"parameter vector shape {params.shape} != ({n},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            net.load_state(params)
+    assert np.array_equal(net.snapshot(), before)
 
 
 def test_forward_deterministic():
