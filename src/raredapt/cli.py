@@ -49,7 +49,8 @@ comparison.csv, null in JSON, and nan in history.csv.
 The sweep runs its cells on W = min(--jobs, cells) forked worker processes,
 worker j taking cells j, j + W, ... in order (see :mod:`raredapt.parallel`);
 each worker loads the dataset with ``load_csv``, from the parsed cache while it
-matches, in its first cell and keeps it for the rest. An unreadable CSV ends the sweep with one error and no output directory.
+matches, in its first cell and keeps it for the rest. An unreadable CSV ends
+the sweep with one error and no output directory.
 A malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
 2): counts and seeds are non-negative ints, seeds distinct, counts strictly
 increasing.
@@ -67,7 +68,6 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -81,7 +81,7 @@ from .data import (
 from .domains import METHODS
 from .metrics import TABLE_COLUMNS, comparison_table, none_if_nan, table_row
 from .numerics import json_tuples
-from .parallel import ordered_map
+from .parallel import WorkerDied, ordered_map
 from .projection import bimodality_score, export_scatter, project_features
 from .training import (
     CORAL_LAYERS, DISCRIMINATOR_LABELS, EpochRecord, TrainConfig, TrainingDiverged, train
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, CheckpointError, TrainingDiverged, ValueError, OSError,
-            BrokenProcessPool) as exc:
+            WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,9 @@ process:
 - Worker ``j`` of ``W`` computes items ``j, j + W, j + 2W, ...`` in order, and
   the parent reads item ``i`` from worker ``i % W``. A full pipe blocks its
   worker, so finished results never pile up in the parent.
+- A worker that dies before it returns its item shows up as EOF on its pipe,
+  and the parent raises ``WorkerDied``, a RuntimeError of its own, so that
+  importing this module loads no executor.
 - The parent forks from a single thread: it starts no helper thread whose
   stack, malloc arena or CPU time would stay with it or compete with the
   workers.
@@ -32,7 +35,6 @@ import pickle
 import signal
 import sys
 import traceback
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,11 @@ def blas_threads():
     return None
 
 
+class WorkerDied(RuntimeError):
+    """A worker ended before it returned its item; the message names its pid,
+    its exit code or signal, and that item."""
+
+
 class WorkerTraceback(Exception):
     """The traceback, as the worker formatted it, of an exception that ``fn``
     raised there; chained as the cause of the exception the parent raises."""
@@ -69,7 +76,7 @@ def ordered_map(fn, items, workers: int):
 
     An exception in ``fn`` is raised at its item, after the earlier items'
     results, with the worker's traceback as its cause. A worker that dies
-    raises ``BrokenProcessPool`` naming its pid, its exit code or signal, and
+    raises ``WorkerDied`` naming its pid, its exit code or signal, and
     the item, counted from 1, that it did not return. With two or more workers,
     OpenBLAS stays at one thread until the generator finishes, raises or is
     closed, and then gets this process's own count back. On any of these ends
@@ -98,7 +105,7 @@ def ordered_map(fn, items, workers: int):
             result = _receive(readers[i % workers])
             if result is None:
                 pid, pids[i % workers] = pids[i % workers], None
-                raise BrokenProcessPool(_death(pid, i, len(items)))
+                raise WorkerDied(_death(pid, i, len(items)))
             value, trace = result
             if trace is not None:
                 raise value from WorkerTraceback(trace)

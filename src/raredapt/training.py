@@ -240,8 +240,15 @@ def _train_batch(
     (synthetic -> source, real -> target).
     Each loss goes into ``totals`` as it is computed (see :class:`_Totals`).
     Raises TrainingDiverged on a non-finite loss, before any backward pass.
-    The backward pass runs the source side, then the target side; each side
-    runs its heads, then the extractor.
+
+    The order of the backward calls does not change a bit: within a step,
+    each layer's gradient buffer receives at most two products, one per side,
+    added to the +0.0 that ``zero_grads`` wrote, and two terms summed onto
+    +0.0 give the same bits in either order. A discriminator pass over a side
+    that routes no row adds exact zeros. The reversed gradient of each side
+    is a full-width array, zero outside the routed rows: adding it changes a
+    feature gradient at most in the sign of a zero, which a sum onto a +0.0
+    buffer drops.
     """
     xs = dataset.features[pair.source]
     xt = None if pair.target is None else dataset.features[pair.target]
@@ -254,19 +261,15 @@ def _train_batch(
     logits_src, tr_c_src = net.forward_classifier(f_src)
     classification = cross_entropy(logits_src, dataset.class_ids[pair.source])
     composite = classification.value
+    terms = {"classification": classification.value}
     confusion = coral = None
     rs, rt = pair.routed_source_rows, pair.routed_target_rows
     if xt is not None:
         f_tgt, tr_f_tgt = net.forward_features(xt)
-    if rs.size + rt.size > 0:
-        blocks = []
-        if rs.size:
-            d_logits_src, tr_d_src = net.forward_discriminator(f_src[rs])
-            blocks.append(d_logits_src)
-        if rt.size:
-            d_logits_tgt, tr_d_tgt = net.forward_discriminator(f_tgt[rt])
-            blocks.append(d_logits_tgt)
-        stacked = np.vstack(blocks)
+    if rs.size + rt.size:
+        d_logits_src, tr_d_src = net.forward_discriminator(f_src[rs])
+        d_logits_tgt, tr_d_tgt = net.forward_discriminator(f_tgt[rt])
+        stacked = np.vstack((d_logits_src, d_logits_tgt))
         labels = np.repeat([DOMAIN_SOURCE, DOMAIN_TARGET], [rs.size, rt.size])
         if config.discriminator_labels == "provenance":
             synthetic = dataset.domains[pair.source[rs]] == "synthetic"
@@ -276,6 +279,7 @@ def _train_batch(
         totals.disc += (np.bincount(hits, minlength=2), np.bincount(labels, minlength=2))
         totals.add("domain_loss", confusion.value, confusion.dlogits.shape[0])
         composite += config.domain_weight * confusion.value
+        terms["domain"] = confusion.value
     elif xt is not None:
         if config.coral_layer == "logits":
             logits_tgt, tr_c_tgt = net.forward_classifier(f_tgt)
@@ -284,43 +288,34 @@ def _train_batch(
             coral = coral_loss(f_src, f_tgt)
         totals.add("coral_term", coral.value, 1)
         composite += config.coral_weight * coral.value
-
+        terms["coral"] = coral.value
     if not math.isfinite(composite):
-        terms = f"classification {classification.value!r}"
-        if confusion is not None:
-            terms += f", domain {confusion.value!r}"
-        if coral is not None:
-            terms += f", coral {coral.value!r}"
-        raise TrainingDiverged(f"non-finite loss ({terms}, composite {composite!r})")
+        listed = ", ".join(f"{name} {value!r}" for name, value in terms.items())
+        raise TrainingDiverged(f"non-finite loss ({listed}, composite {composite!r})")
     totals.add("classification_loss", classification.value, xs.shape[0])
     totals.add("composite_loss", composite, xs.shape[0])
-    weight = config.coral_weight
-    coral_on_logits = coral is not None and config.coral_layer == "logits"
+    dlogits = classification.dlogits
+    dfeat_src = dfeat_tgt = None  # each side's gradient w.r.t. its features from the term
     if confusion is not None:
         dlogits_d = config.domain_weight * confusion.dlogits
-    # source side
-    dlogits = classification.dlogits
-    if coral_on_logits:
-        dlogits = dlogits + weight * coral.d_source
-    dfeat = net.backward("classifier", tr_c_src, dlogits)
-    if confusion is not None and rs.size:
+        dfeat_src, dfeat_tgt = np.zeros_like(f_src), np.zeros_like(f_tgt)
         d_routed = net.backward("discriminator", tr_d_src, dlogits_d[: rs.size])
-        dfeat[rs] += grl_backward(d_routed, grl_scale)
-    if coral is not None and not coral_on_logits:
-        dfeat += weight * coral.d_source
-    net.backward("extractor", tr_f_src, dfeat)
-    # target side
-    dfeat = None
-    if confusion is not None and rt.size:
-        dfeat = np.zeros_like(f_tgt)
+        dfeat_src[rs] += grl_backward(d_routed, grl_scale)
         d_routed = net.backward("discriminator", tr_d_tgt, dlogits_d[rs.size :])
-        dfeat[rt] += grl_backward(d_routed, grl_scale)
+        dfeat_tgt[rt] += grl_backward(d_routed, grl_scale)
     elif coral is not None:
-        dfeat = weight * coral.d_target
-        if coral_on_logits:
-            dfeat = net.backward("classifier", tr_c_tgt, dfeat)
-    if dfeat is not None:
-        net.backward("extractor", tr_f_tgt, dfeat)
+        dfeat_tgt = config.coral_weight * coral.d_target
+        if config.coral_layer == "logits":
+            dlogits = dlogits + config.coral_weight * coral.d_source
+            dfeat_tgt = net.backward("classifier", tr_c_tgt, dfeat_tgt)
+        else:
+            dfeat_src = config.coral_weight * coral.d_source
+    dfeat = net.backward("classifier", tr_c_src, dlogits)
+    if dfeat_src is not None:
+        dfeat += dfeat_src
+    net.backward("extractor", tr_f_src, dfeat)
+    if dfeat_tgt is not None:
+        net.backward("extractor", tr_f_tgt, dfeat_tgt)
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, list[EpochRecord]]:

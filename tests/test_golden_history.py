@@ -7,8 +7,10 @@ values were recorded from the per-array implementation of ``Network`` and
 ``Adam`` that the flat parameter buffer replaced; any change to the order of
 floating-point operations in the training step shows here as a new digest.
 The cases cover every branch of the step: each method, feature jitter, the
-feature-level CORAL variant, provenance discriminator labels, the GRL ramp
-and a target set smaller than the source set, so target batches wrap around T.
+feature-level CORAL variant, provenance discriminator labels, the GRL ramp,
+a target set smaller than the source set, so target batches wrap around T,
+and deerdann source batches that route no row (small batches, no synthetic
+samples), whose discriminator passes run on zero rows.
 """
 
 import hashlib
@@ -39,6 +41,8 @@ CASES = {
     # |T| below |S|: the sampler wraps around T within each epoch
     "deerdann_oversample1": dict(method="deerdann", oversample_factor=1),
     "deercoral_oversample1": dict(method="deercoral", oversample_factor=1),
+    # 39 of 117 source batches hold no rare-class row
+    "deerdann_count0_batch8": dict(method="deerdann", synthetic_count=0, batch_size=8),
 }
 
 GOLDEN = {
@@ -54,6 +58,7 @@ GOLDEN = {
     "deercoral_oversample1": "d961f852a6ff50b010edee3702af5e34d196ea5e2008d45ae19b65d21bf6acab",
     "deercoral_seed1": "3b881936b3b890f43722771ea4871590f41b6bcace7387c6da86b0fc9e76e4ce",
     "deerdann": "283b0037e20e1a836bbf1845fd94321c015f1d3ccc7b41e1a726c1053189601b",
+    "deerdann_count0_batch8": "8f279a9c44cd0045c1c72c269e2acb2afe83891d2aa66af40516cde191055984",
     "deerdann_jitter": "17ee28ad962c12161075cafb73c55f52ac438db81b938ca87f5fb7535cf11f94",
     "deerdann_oversample1": "eb523404b8db3db40b937769ca24f739ccd6c22392b758b55f93b3849248e706",
     "deerdann_provenance": "c790c7c832d404190fbb235fecf577d6a0b6ca4f2ea91920fb9262b80c8c60d0",
@@ -83,7 +88,7 @@ def run_digest(history, checkpoint) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_history_matches_golden_digest(tiny_dataset, case):
-    cp, history = train(tiny_dataset, TrainConfig(**SHARED, **CASES[case]))
+    cp, history = train(tiny_dataset, TrainConfig(**{**SHARED, **CASES[case]}))
     assert run_digest(history, cp) == GOLDEN[case]
 
 

@@ -4,14 +4,13 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from raredapt import parallel
-from raredapt.parallel import ordered_map
+from raredapt.parallel import WorkerDied, ordered_map
 
 from conftest import counting_forks
 
@@ -172,15 +171,27 @@ def test_a_workers_output_is_flushed_and_the_parents_is_not_repeated():
               "    return i\n"
               "assert list(ordered_map(printed, range(4), 2)) == [0, 1, 2, 3]\n")
     env = {**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])}
+    # unbuffered, each print() is two writes, which two workers can interleave
+    env.pop("PYTHONUNBUFFERED", None)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert sorted(out.splitlines()) == ["parent line", *(f"worker line {i}" for i in range(4))]
 
 
+def test_importing_the_package_loads_no_executor():
+    script = ("import sys, raredapt\n"
+              "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+              " if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
+
+
 def test_a_worker_killed_by_a_signal_is_named_with_the_item_it_did_not_return(monkeypatch):
     forks = counting_forks(monkeypatch)
     seen = []
-    with pytest.raises(BrokenProcessPool) as caught:
+    with pytest.raises(WorkerDied) as caught:
         for result in ordered_map(killed_at_three, range(8), 2):
             seen.append(result)
     assert seen == [0, 1, 2]
