@@ -13,15 +13,14 @@ Byte layout (all integers little-endian):
 
 The record is ``Network.params`` exactly as the network lays it out (see
 :mod:`raredapt.network`), so save -> load -> forward is bit-identical to the
-pre-save network. A human-readable sidecar ``<path>.meta.json`` mirrors the
-header. Loading verifies the magic, the declared lengths, that ``epoch`` and
-``param_count`` are non-negative ints, that ``param_count`` is the parameter
-count the network spec implies, that the file ends exactly after the record,
-and that every parameter is finite (the forward pass does not scan values,
-see :mod:`raredapt.network`). The spec is built through ``NetworkSpec``
-itself, so a header dimension passes the same checks as a config's: a
-string, float or bool is rejected, not converted. Truncated, corrupt or
-mismatched files raise without returning partial state.
+pre-save network. Loading verifies the magic, the declared lengths, that
+``epoch`` and ``param_count`` are non-negative ints, that ``param_count`` is
+the parameter count the network spec implies, that the file ends exactly
+after the record, and that every parameter is finite (the forward pass does
+not scan values, see :mod:`raredapt.network`). The spec is built through
+``NetworkSpec`` itself, so a header dimension passes the same checks as a
+config's: a string, float or bool is rejected, not converted. Truncated,
+corrupt or mismatched files raise without returning partial state.
 Version-1 files (one record per named array) and version-2 files (a spec
 nested as three parts) are rejected as an unsupported version. Saving
 rejects a parameter vector whose length disagrees with the spec before
@@ -40,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
+from .artifacts import atomic_open
 from .network import Network, NetworkSpec
 from .numerics import json_tuples
 
@@ -75,8 +74,8 @@ def _header_count(header: dict, key: str) -> int:
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
-    """Write ``path`` and its ``.meta.json`` sidecar; a parameter vector whose
-    length disagrees with the network spec raises before either is written."""
+    """Write ``path``; a parameter vector whose length disagrees with the
+    network spec raises before it is written."""
     params = np.ascontiguousarray(cp.params, dtype="<f8")
     if params.size != cp.network_spec.param_count:
         raise CheckpointError(
@@ -93,7 +92,6 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + params.tobytes())
-    write_json(f"{path}.meta.json", header)
 
 
 def load_checkpoint(path) -> Checkpoint:

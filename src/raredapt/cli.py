@@ -26,9 +26,9 @@ target (see :mod:`raredapt.artifacts`), so even a killed process leaves no
 artifact half-written.
 
 A train run directory is written in this order: config.json (resolved config
-+ dataset reference), checkpoint.ckpt (+ .meta.json sidecar), history.csv
-(per-epoch losses and split metrics), train.log, and selected_metrics.json
-(the selected checkpoint's metrics) last, so that it marks a complete run.
++ dataset reference), checkpoint.ckpt, history.csv (per-epoch losses and
+split metrics), and selected_metrics.json (the selected checkpoint's metrics)
+last, so that it marks a complete run.
 Before writing, it deletes the ``<file>.<pid>.tmp`` that a killed writer of
 one of those files left behind, and no other file.
 
@@ -53,7 +53,11 @@ matches, in its first cell and keeps it for the rest. An unreadable CSV ends
 the sweep with one error and no output directory.
 A malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
 2): counts and seeds are non-negative ints, seeds distinct, counts strictly
-increasing.
+increasing. So is a compare --runs list with an empty entry or two entries
+that resolve to one directory.
+
+project rejects a dataset whose feature or class count differs from the
+checkpoint's network.
 
 A worker process that dies (killed by a signal or the OOM killer) in sweep or
 gen-data ends the command with exit 1 and one error line that names its pid,
@@ -66,6 +70,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -151,8 +156,7 @@ def _selected_metrics_payload(config: TrainConfig, checkpoint: Checkpoint, histo
     }
 
 
-_RUN_DIR_FILES = ("config.json", "checkpoint.ckpt", "checkpoint.ckpt.meta.json", "history.csv",
-                 "train.log", "selected_metrics.json")
+_RUN_DIR_FILES = ("config.json", "checkpoint.ckpt", "history.csv", "selected_metrics.json")
 
 
 def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, history) -> dict:
@@ -163,16 +167,6 @@ def _write_run_dir(out: Path, data_path, config: TrainConfig, checkpoint, histor
                                      "config_hash": config.config_hash()})
     save_checkpoint(checkpoint, out / "checkpoint.ckpt")
     _write_history_csv(out / "history.csv", history)
-    log_lines = []
-    for rec in history:
-        tv = rec.split_metrics["trans_val"]
-        log_lines.append(
-            f"epoch {rec.epoch}: classification={rec.classification_loss:.6f} "
-            f"domain={rec.domain_loss:.6f} coral={rec.coral_term:.6f} "
-            f"trans_val_rare={tv.rare_acc:.4f} trans_val_other={tv.other_macro:.4f}"
-        )
-    log_lines.append(f"selected epoch {checkpoint.epoch}")
-    write_text(out / "train.log", "\n".join(log_lines) + "\n")
     selected = _selected_metrics_payload(config, checkpoint, history)
     write_json(out / "selected_metrics.json", selected)
     return selected
@@ -296,20 +290,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _run_list(text: str) -> list[str]:
+    """argparse type of a comma-separated list of run directories, no entry
+    empty and no two naming the same directory once resolved."""
+    runs = text.split(",")
+    if "" in runs:
+        raise argparse.ArgumentTypeError(f"empty run directory in {text!r}")
+    if len({Path(run).resolve() for run in runs}) != len(runs):
+        raise argparse.ArgumentTypeError(f"run directories must be distinct, got {text!r}")
+    return runs
+
+
 def _run_labels(runs: list[str]) -> list[str]:
-    """Label each run by its last path parts, as few as keep the labels distinct."""
+    """Label each run by its last path parts, as few as keep the labels distinct;
+    the runs name distinct paths, so the whole paths always do."""
     parts = [Path(run).parts for run in runs]
-    for depth in range(1, max(len(p) for p in parts) + 1):
+    for depth in itertools.count(1):
         labels = [str(Path(*p[-depth:])) for p in parts]
         if len(set(labels)) == len(labels):
             return labels
-    return runs
 
 
 def cmd_compare(args) -> int:
     entries = []
-    runs = args.runs.split(",")
-    for run, label in zip(runs, _run_labels(runs)):
+    for run, label in zip(args.runs, _run_labels(args.runs)):
         metrics_path = Path(run) / "selected_metrics.json"
         if not metrics_path.is_file():
             raise CliError(f"run directory {run} has no selected_metrics.json")
@@ -333,14 +337,19 @@ def cmd_project(args) -> int:
     if not ckpt_path.is_file():
         raise CliError(f"run directory {run} has no checkpoint.ckpt")
     checkpoint = load_checkpoint(ckpt_path)
-    feature_dim = checkpoint.network_spec.feature_dim
-    if args.components > feature_dim:
+    spec = checkpoint.network_spec
+    if args.components > spec.feature_dim:
         raise CliError(
-            f"--components {args.components} exceeds the feature dimension {feature_dim} "
+            f"--components {args.components} exceeds the feature dimension {spec.feature_dim} "
             f"of {ckpt_path}"
         )
     net = checkpoint.build_network()
     dataset = load_csv(args.data)
+    if (dataset.feature_dim, dataset.num_classes) != (spec.input_dim, spec.class_count):
+        raise CliError(
+            f"{args.data} has {dataset.feature_dim} features and {dataset.num_classes} classes, "
+            f"but {ckpt_path} expects {spec.input_dim} features and {spec.class_count} classes"
+        )
     indices = dataset.real_split_indices[args.split]
     if args.include_synthetic:
         indices = np.concatenate([indices, dataset.synthetic_indices])
@@ -415,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="comparison table from run directories")
-    p.add_argument("--runs", required=True,
-                   help="comma-separated run directories; each row is named by the fewest "
-                        "trailing path parts that tell the runs apart")
+    p.add_argument("--runs", required=True, type=_run_list,
+                   help="comma-separated distinct run directories; each row is named by the "
+                        "fewest trailing path parts that tell the runs apart")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

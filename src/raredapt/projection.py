@@ -81,14 +81,14 @@ def project_features(
     x = dataset.features[indices]
     features, _ = net.forward_features(x)
     logits, _ = net.forward_classifier(features)
-    correct = np.argmax(logits, axis=1) == dataset.class_ids[indices]
+    class_ids = dataset.class_ids[indices]  # fancy indexing: each column below is a copy
     components, variances, mean = pca_fit(features, n_components)
     return ProjectedFeatures(
         coords=(features - mean) @ components,
-        class_ids=dataset.class_ids[indices].copy(),
-        domains=dataset.domains[indices].copy(),
-        splits=dataset.splits[indices].copy(),
-        correct=correct,
+        class_ids=class_ids,
+        domains=dataset.domains[indices],
+        splits=dataset.splits[indices],
+        correct=np.argmax(logits, axis=1) == class_ids,
         explained_variances=variances,
     )
 

@@ -125,18 +125,6 @@ def test_header_nested_past_the_recursion_limit_raises_checkpoint_error(tmp_path
         load_checkpoint(path)
 
 
-def test_sidecar_metadata_written(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(make_checkpoint(), path)
-    sidecar = tmp_path / "model.ckpt.meta.json"
-    assert sidecar.is_file()
-    assert '"config_hash": "abc123"' in sidecar.read_text()
-    assert json.loads(sidecar.read_text())["network"] == {
-        "input_dim": 4, "class_count": 4, "feature_dims": [5, 3], "classifier_hidden": [],
-        "discriminator_hidden": [3],
-    }
-
-
 def test_save_rejects_params_that_disagree_with_the_spec(tmp_path):
     cp = make_checkpoint()
     assert cp.network_spec.param_count == 79
@@ -146,8 +134,7 @@ def test_save_rejects_params_that_disagree_with_the_spec(tmp_path):
     with pytest.raises(CheckpointError, match=message) as err:
         save_checkpoint(cp, path)
     assert str(path) in str(err.value)
-    assert not path.exists()
-    assert not (tmp_path / "model.ckpt.meta.json").exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_non_finite_parameter_rejected_on_load(tmp_path):

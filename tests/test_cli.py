@@ -224,8 +224,9 @@ def test_a_rerun_deletes_only_the_temp_files_a_killed_run_dir_writer_left(tmp_pa
     assert main(argv) == 0
     cell = out / "cells" / "deerdann_count0_seed0"
     written = {p.name: p.read_bytes() for p in cell.iterdir()}
-    stale = ["history.csv.4242.tmp", "checkpoint.ckpt.meta.json.17.tmp", "train.log.1.tmp"]
-    kept = ["notes.tmp", "history.csv.tmp", "history.csv.12a.tmp", "data.csv.4242.tmp"]
+    stale = ["history.csv.4242.tmp", "checkpoint.ckpt.17.tmp", "selected_metrics.json.1.tmp"]
+    kept = ["notes.tmp", "history.csv.tmp", "history.csv.12a.tmp", "data.csv.4242.tmp",
+            "train.log.1.tmp"]
     for name in stale + kept:
         (cell / name).write_text("partial", encoding="utf-8")
     assert main(argv) == 0
@@ -304,13 +305,13 @@ def test_sweep_ends_on_an_error_that_is_not_the_cells(tmp_path, monkeypatch, cap
     # a failed write exits 1 with one error line
     monkeypatch.undo()
 
-    def failing_write_text(path, text):
+    def failing_write_csv(path, header, rows):
         raise OSError(f"disk full: {path.name}")
 
-    monkeypatch.setattr(cli, "write_text", failing_write_text)
+    monkeypatch.setattr(cli, "write_csv", failing_write_csv)
     capsys.readouterr()
     assert main(sweep_argv(data, out, seeds="0", counts="0")) == 1
-    assert capsys.readouterr().err == "error: disk full: train.log\n"
+    assert capsys.readouterr().err == "error: disk full: history.csv\n"
     assert not (out / "failures.json").exists()
     assert not (out / "sweep_deerdann.csv").exists()
 
@@ -372,20 +373,17 @@ def test_train_config_value_of_wrong_type_is_a_clean_error(tmp_path, capsys):
 def test_train_writes_selected_metrics_last(tmp_path, monkeypatch, capsys):
     # a run directory without selected_metrics.json is an incomplete run
     data = write_tiny_csv(tmp_path)
-    real_write_text = cli.write_text
 
-    def failing_log(path, text):
-        if path.name == "train.log":
-            raise OSError(f"disk full: {path.name}")
-        real_write_text(path, text)
+    def failing_history(path, header, rows):
+        raise OSError(f"disk full: {path.name}")
 
-    monkeypatch.setattr(cli, "write_text", failing_log)
+    monkeypatch.setattr(cli, "write_csv", failing_history)
     run = tmp_path / "run"
     capsys.readouterr()
     assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
                  "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 1
-    assert capsys.readouterr().err == "error: disk full: train.log\n"
-    assert (run / "history.csv").is_file()
+    assert capsys.readouterr().err == "error: disk full: history.csv\n"
+    assert (run / "checkpoint.ckpt").is_file()
     assert not (run / "selected_metrics.json").exists()
 
 
@@ -689,13 +687,7 @@ def test_gen_data_train_compare_project_end_to_end(tmp_path):
     run = tmp_path / "run"
     assert main(["train", "--data", str(data), "--method", "deercoral", "--out", str(run),
                  "--epochs", "2", "--batch-size", "32", "--synthetic-count", "60"]) == 0
-    for name in ("config.json", "checkpoint.ckpt", "checkpoint.ckpt.meta.json",
-                 "history.csv", "selected_metrics.json", "train.log"):
-        assert (run / name).is_file(), name
     assert "metrics" not in checkpoint_header(run / "checkpoint.ckpt")
-    meta = json.loads((run / "checkpoint.ckpt.meta.json").read_text(encoding="utf-8"))
-    assert "metrics" not in meta
-    assert meta == checkpoint_header(run / "checkpoint.ckpt")
 
     cmp_dir = tmp_path / "cmp"
     assert main(["compare", "--runs", str(run), "--out", str(cmp_dir)]) == 0
@@ -751,102 +743,70 @@ RUN_DIR_GOLDEN = {
     "runs": {
         "alldann/checkpoint.ckpt":
             "6e592083f84619dee8f5103bac4dfcdd712ee9b734c59e19b67002e544167ace",
-        "alldann/checkpoint.ckpt.meta.json":
-            "5fd055c53078b79f9723c2bfeebd0ed711efbc6c32b9a544af3bcb7ee65fae48",
         "alldann/config.json":
             "6a90f12497734dbf77970a2f0e2eb50af3aa8292a800eb1a13b8fe34ec3bd978",
         "alldann/history.csv":
             "b8f363a94ce3da80d378483e348622b0d1d446077a244afa43ad9e73bee89f87",
         "alldann/selected_metrics.json":
             "0a5888ac76e053ab21e87640885ac8080b1a1b95f79b847a1836aa8d24a7ee04",
-        "alldann/train.log":
-            "4df0bd021cffe9b6614195f855a8244f1bce365b1643170bacbe93067f5eb8c5",
         "baseline/checkpoint.ckpt":
             "791004aa3df153953184b34c2cabc01b41389169fd89a09901f27bafdec7d4ac",
-        "baseline/checkpoint.ckpt.meta.json":
-            "af4bd0ba891863debe7c6c583d82d8447a6068914c84a9bb585ccd18b906b13c",
         "baseline/config.json":
             "d3ebfb7b8eb1a74188f28dd090afc62b1a9f983e0482a321a1816181e6ddf6d1",
         "baseline/history.csv":
             "7bc46a5eed526cdb4b9bfe0409d96c07b6d6b2f75cb03ae038fde61792a30339",
         "baseline/selected_metrics.json":
             "778cc91eb5b1cd4291adfea21fe5c88c83d6b4ee3e756f3a23bc4a8c66074423",
-        "baseline/train.log":
-            "5b39782745220f755dc4a930a76e27b3c767f5f88573f1316c68b3424783ba80",
         "deercoral/checkpoint.ckpt":
             "b9532a86fcb08fe142ce56924faed657c8bf39b0ad267efe680ebfcbc3d21c73",
-        "deercoral/checkpoint.ckpt.meta.json":
-            "3edc16513e732894b36fa6f8229c6006c5a1b1eec99d994d3ac81aa9a9281908",
         "deercoral/config.json":
             "87882ec09bf1463374cc782a949f01b639fee345c3eccb50964361012189bdfc",
         "deercoral/history.csv":
             "6f766b46d345879af59a1a1d9bf53fcc2ffa1e20457ed31cd73562a6f9195d3c",
         "deercoral/selected_metrics.json":
             "aae0f635ae39cb394ed33a111defbd3bbf6bf6cdbb8c0b9f22f642b5e6817f3a",
-        "deercoral/train.log":
-            "aee560a767fdb38e3de553664662093f03d9294cfe92c723621fa2dfd16aeab8",
         "deerdann/checkpoint.ckpt":
             "8306960f4becd2c5e12f51af037c290313ac3357d23994434cdd480ab177c754",
-        "deerdann/checkpoint.ckpt.meta.json":
-            "659719669a9521f47da7d3fba389ba67117da267bae93d210dc95efe1128285f",
         "deerdann/config.json":
             "b938de09e7f0f14734bc4a0cbc6e9ca41b9cf617e880999ef63e7e699c9bf671",
         "deerdann/history.csv":
             "7e71d6b621e5485fe375a14b34f781461e764c1d538301f991fe1d5cf827bdf7",
         "deerdann/selected_metrics.json":
             "cbcc6384d09a962937b2ebbc21798697e5fd3691417200fc4da7abb40d76cb1c",
-        "deerdann/train.log":
-            "5abc41ebbf82ea8e9d655985290e43be3e0317410405514a926d7cee71ab3164",
     },
     "sweep": {
         "cells/deerdann_count0_seed0/checkpoint.ckpt":
             "4489106c0cfc39799fcc06c755b82ace33982c8adb5d66e6a943e36bdeaebca8",
-        "cells/deerdann_count0_seed0/checkpoint.ckpt.meta.json":
-            "cb51aca08db57bf78db7c23574ab0eef995942e7f7f75da56c4914fe60a0fb1c",
         "cells/deerdann_count0_seed0/config.json":
             "6509db685eb53b5a88d9afce1039e2d0091531c3ba71fa7d8efea8ce1a0610a5",
         "cells/deerdann_count0_seed0/history.csv":
             "397a04ac9c930e0405c10ac9dacfc299aa6c2bc29d180a74ae86b8b1e9e3a789",
         "cells/deerdann_count0_seed0/selected_metrics.json":
             "db159a643e3b2511fce5241810784a226d0933f084a5979c3fe540bebd483ee1",
-        "cells/deerdann_count0_seed0/train.log":
-            "f78334c5f78c3d6e07d48e06239bccfe45fff96f91b75df403dc6892dc2d616e",
         "cells/deerdann_count0_seed1/checkpoint.ckpt":
             "aeaef9f33c8818cfb820517b76d762a979bbdaa6918b8f18deb24d93010c25e5",
-        "cells/deerdann_count0_seed1/checkpoint.ckpt.meta.json":
-            "0f11cbed0e564dee3ad77ece424498a82f78aabf464f331adf56247116068e78",
         "cells/deerdann_count0_seed1/config.json":
             "a0c5bf8e0b16257619cab5a9ada6ca26630d546a03f76eddc29a3eb4ef893d64",
         "cells/deerdann_count0_seed1/history.csv":
             "2fb0bb6fc0bf2a7393c2ab4fcba097357d8b2a2085619d6156eb0d7298c5b5ab",
         "cells/deerdann_count0_seed1/selected_metrics.json":
             "30b415146212097b4d262e46644d68659ac1ae9b38f90713a99a9c14e86f2e85",
-        "cells/deerdann_count0_seed1/train.log":
-            "6bf0d8fc7109912f10c1b08ea01b65c75d78b2cb5ed11cf495e62ae91a189824",
         "cells/deerdann_count50_seed0/checkpoint.ckpt":
             "6b18edecc3bf4d171fbafe2ae2c081818fc7e0f0beea138a7ede5a9484954ca9",
-        "cells/deerdann_count50_seed0/checkpoint.ckpt.meta.json":
-            "2ac04021d081b9245cc8239ac1287600efab3fc55f2e3df11e910bdeaa2b7233",
         "cells/deerdann_count50_seed0/config.json":
             "12f9071de6e3421649a44e0fc962fbb295205c414991d7a768151eaeacda06a3",
         "cells/deerdann_count50_seed0/history.csv":
             "63f028cc771d675f5d49972af07a5ca4aeefddc15685f0a97a2919b6c514e446",
         "cells/deerdann_count50_seed0/selected_metrics.json":
             "984e6a3f93d159dc78587739277788547e92fd9a8c89ed8e8d0f528d7edf966d",
-        "cells/deerdann_count50_seed0/train.log":
-            "a96f3382d5f91e81ad069690ec2f8b5b0875ce9bf5680bb6aa21675597dcba51",
         "cells/deerdann_count50_seed1/checkpoint.ckpt":
             "98af4387b5da1d97c50d98ca27b0804a646d8199721bf5a43ad5c96417ff42c7",
-        "cells/deerdann_count50_seed1/checkpoint.ckpt.meta.json":
-            "7b3046feffd2382362cc7780e336c7d1797edd2454fbf1ecf5b630b2a7c16660",
         "cells/deerdann_count50_seed1/config.json":
             "2830e0e44ec7954f74929bceb5d5cea7bbd2822c4a9f4324411ea9e1e3e85aed",
         "cells/deerdann_count50_seed1/history.csv":
             "efee77c59df8a5ca4f831671d54c1cedd17e893660594ab4d62e543995be625a",
         "cells/deerdann_count50_seed1/selected_metrics.json":
             "c6b92823a928f6a7bbefb0145753503d346f511f443d2c10f44e79eef2c306ed",
-        "cells/deerdann_count50_seed1/train.log":
-            "a648ece86f4fcddee7356f6b67e150631481bc7bb77f0d692b95b07180835d05",
         "failures.json":
             "670bef3e0a42e948c3c51c974600c3ac6b9ecc16b1760322b72ae5f903deae26",
         "sweep_deerdann.csv":
@@ -902,13 +862,78 @@ def test_project_truncated_checkpoint_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("error: ") and "truncated" in err
 
 
+def test_a_train_run_directory_holds_exactly_the_files_its_writer_cleans_up_after(tmp_path):
+    data = write_tiny_csv(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
+                 "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 0
+    assert cli._RUN_DIR_FILES == ("config.json", "checkpoint.ckpt", "history.csv",
+                                  "selected_metrics.json")
+    assert sorted(p.name for p in run.iterdir()) == sorted(cli._RUN_DIR_FILES)
+
+
+@pytest.mark.parametrize("fields, found", [
+    (dict(class_count=5, rare_class_id=4, train_counts=(120, 90, 60, 50, 41)), (8, 5)),
+    (dict(feature_dim=6), (6, 4)),
+])
+def test_project_rejects_a_dataset_that_does_not_fit_the_checkpoint(
+    tmp_path, capsys, fields, found
+):
+    data = write_tiny_csv(tmp_path)
+    run, proj = tmp_path / "run", tmp_path / "proj"
+    assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
+                 "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 0
+    other = tmp_path / "other.csv"
+    assert main(["gen-data", "--spec", str(write_tiny_spec(tmp_path, **fields)),
+                 "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["project", "--run", str(run), "--data", str(other), "--split", "trans_test",
+                 "--out", str(proj)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {other} has {found[0]} features and {found[1]} classes, but "
+        f"{run / 'checkpoint.ckpt'} expects 8 features and 4 classes\n"
+    )
+    assert not proj.exists()
+
+
+def write_selected_metrics(run, trans_rare_acc=0.5):
+    """A run directory holding only the ``selected_metrics.json`` that compare reads."""
+    run.mkdir(parents=True, exist_ok=True)
+    row = {"trans_rare_acc": trans_rare_acc, "cis_rare_acc": 0.5, "trans_other_avg": 0.25,
+           "cis_other_avg": None}
+    (run / "selected_metrics.json").write_text(json.dumps({"table_row": row}), encoding="utf-8")
+
+
+@pytest.mark.parametrize("runs, message", [
+    ("", "empty run directory in ''"),
+    (",", "empty run directory in ','"),
+    ("r1,", "empty run directory in 'r1,'"),
+    ("r1,,r2", "empty run directory in 'r1,,r2'"),
+    ("r1,./r1", "run directories must be distinct, got 'r1,./r1'"),
+    ("r1,r2,r1/", "run directories must be distinct, got 'r1,r2,r1/'"),
+    ("r1,{cwd}/r1", "run directories must be distinct, got 'r1,{cwd}/r1'"),
+    ("r2,r1,link", "run directories must be distinct, got 'r2,r1,link'"),
+])
+def test_compare_runs_with_an_empty_or_repeated_entry_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, runs, message
+):
+    # even from inside a run directory, where an empty entry once read
+    # ./selected_metrics.json as an unnamed row
+    write_selected_metrics(tmp_path)
+    for name in ("r1", "r2"):
+        write_selected_metrics(tmp_path / name)
+    (tmp_path / "link").symlink_to("r1")
+    monkeypatch.chdir(tmp_path)
+    runs, message = (text.format(cwd=tmp_path) for text in (runs, message))
+    err = usage_error(["compare", "--runs", runs, "--out", "cmp"], capsys)
+    assert f"argument --runs: {message}" in err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_compare_names_runs_with_the_same_directory_name_apart(tmp_path):
     runs = [tmp_path / "a" / "run", tmp_path / "b" / "run"]
     for i, run in enumerate(runs):
-        run.mkdir(parents=True)
-        row = {"trans_rare_acc": 0.5 + i / 4, "cis_rare_acc": 0.5, "trans_other_avg": 0.25,
-               "cis_other_avg": None}
-        (run / "selected_metrics.json").write_text(json.dumps({"table_row": row}), encoding="utf-8")
+        write_selected_metrics(run, 0.5 + i / 4)
     cmp_dir = tmp_path / "cmp"
     assert main(["compare", "--runs", ",".join(map(str, runs)), "--out", str(cmp_dir)]) == 0
     with open(cmp_dir / "comparison.csv", newline="", encoding="utf-8") as fh:
