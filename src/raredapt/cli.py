@@ -6,7 +6,7 @@ Subcommands wire the library end to end:
     raredapt train     --data data.csv --method M --out rundir [--config cfg.json] [...]
     raredapt sweep     --data data.csv --method M --counts 0,100 --seeds 0,1 --out dir [...]
     raredapt compare   --runs dir1,dir2 --out dir
-    raredapt project   --run dir --data data.csv --split s --out dir [...]
+    raredapt project   --run dir --data data.csv --split s --out dir
 
 gen-data writes two files: the dataset CSV and, beside it, its parsed cache
 ``<out>.parsed.npz``, which train, sweep and project read instead of parsing
@@ -52,12 +52,13 @@ each worker loads the dataset with ``load_csv``, from the parsed cache while it
 matches, in its first cell and keeps it for the rest. An unreadable CSV ends
 the sweep with one error and no output directory.
 A malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
-2): counts and seeds are non-negative ints, seeds distinct, counts strictly
-increasing. So is a compare --runs list with an empty entry or two entries
-that resolve to one directory.
+2): counts and seeds are non-negative ints with no empty entry, seeds
+distinct, counts strictly increasing. So is a compare --runs list with an
+empty entry or two entries that resolve to one directory.
 
-project rejects a dataset whose feature or class count differs from the
-checkpoint's network.
+project projects the split's real rows and the whole synthetic pool onto the
+first two principal components of their pre-logit features. It rejects a
+dataset whose feature or class count differs from the checkpoint's network.
 
 A worker process that dies (killed by a signal or the OOM killer) in sweep or
 gen-data ends the command with exit 1 and one error line that names its pid,
@@ -231,13 +232,14 @@ def _positive_int(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    """argparse type of a comma-separated list of at least one int >= 0."""
+    """argparse type of a comma-separated list of ints >= 0, no entry empty."""
+    entries = text.split(",")
+    if "" in entries:
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
     try:
-        values = [int(v) for v in text.split(",") if v != ""]
+        values = [int(v) for v in entries]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int list: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one value")
     if min(values) < 0:
         raise argparse.ArgumentTypeError(f"values must be >= 0, got {values}")
     return values
@@ -338,11 +340,6 @@ def cmd_project(args) -> int:
         raise CliError(f"run directory {run} has no checkpoint.ckpt")
     checkpoint = load_checkpoint(ckpt_path)
     spec = checkpoint.network_spec
-    if args.components > spec.feature_dim:
-        raise CliError(
-            f"--components {args.components} exceeds the feature dimension {spec.feature_dim} "
-            f"of {ckpt_path}"
-        )
     net = checkpoint.build_network()
     dataset = load_csv(args.data)
     if (dataset.feature_dim, dataset.num_classes) != (spec.input_dim, spec.class_count):
@@ -350,12 +347,10 @@ def cmd_project(args) -> int:
             f"{args.data} has {dataset.feature_dim} features and {dataset.num_classes} classes, "
             f"but {ckpt_path} expects {spec.input_dim} features and {spec.class_count} classes"
         )
-    indices = dataset.real_split_indices[args.split]
-    if args.include_synthetic:
-        indices = np.concatenate([indices, dataset.synthetic_indices])
+    indices = np.concatenate([dataset.real_split_indices[args.split], dataset.synthetic_indices])
     if indices.size == 0:
         raise CliError(f"no samples selected for split {args.split!r}")
-    proj = project_features(net, dataset, indices, n_components=args.components)
+    proj = project_features(net, dataset, indices)
     out = Path(args.out)
     csv_path, svg_path = export_scatter(proj, out / f"scatter_{args.split}")
     score = None
@@ -435,14 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", required=True, choices=SPLITS)
     p.add_argument("--out", required=True)
-    p.add_argument("--components", type=_positive_int, default=2,
-                   help="principal components to keep, 1 to the feature dimension")
-    p.add_argument(
-        "--include-synthetic",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="also project the synthetic pool (needed for the bimodality score)",
-    )
     p.set_defaults(func=cmd_project)
     return parser
 

@@ -56,7 +56,7 @@ import itertools
 import os
 import zipfile
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -160,23 +160,6 @@ class GenSpec:
         counts = [int(round(self.max_train_count * ratio**c)) for c in range(k)]
         counts[self.rare_class_id] = self.rare_train_count
         return tuple(counts)
-
-    @classmethod
-    def zero_gap(cls, **overrides) -> "GenSpec":
-        """Control spec with no real/synthetic discrepancy.
-
-        Sets A=I, b=0 and matched noise; also zeroes the location jitter so
-        real and synthetic rare samples are drawn i.i.d. from the same
-        Gaussian, which makes the population-identity checks exact.
-        """
-        base = cls(
-            gap_condition=1.0,
-            gap_rotation=0.0,
-            gap_offset=0.0,
-            gap_noise_factor=1.0,
-            location_jitter=0.0,
-        )
-        return replace(base, **overrides)
 
 
 @dataclass

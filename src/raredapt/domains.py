@@ -83,7 +83,9 @@ def build_domains(
             f"requested {synthetic_count} synthetic samples but the pool has {len(pool)}"
         )
     rng = make_rng(seed, _SYN_CHOICE_STREAM)
-    chosen = np.sort(rng.permutation(pool)[:synthetic_count])
+    # permuting positions, not the read-only pool itself, which numpy would
+    # try to shuffle in place when it is empty
+    chosen = np.sort(pool[rng.permutation(pool.size)[:synthetic_count]])
     source = np.concatenate([train, chosen])
 
     is_rare = dataset.class_ids == rare

@@ -48,24 +48,30 @@ class CoralValue:
 def cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> LossValue:
     """Mean negative log softmax-probability of the true class.
 
-    Gradient w.r.t. logits is (softmax - onehot) / n, computed in place in
-    the softmax array once the loss value has been read from it.
+    Labels are integer class ids in [0, K); float or bool labels are a
+    ValueError, not cast. Gradient w.r.t. logits is (softmax - onehot) / n,
+    computed in place in the softmax array once the loss value has been read
+    from it.
     """
     n, k = logits.shape
     if n < 1 or k < 2:
         raise ValueError(f"cross_entropy needs n >= 1 and K >= 2, got shape {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    if labels.dtype.kind not in "iu":  # a cast would truncate floats and pass bools as 0/1
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
+    if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label out of range [0, {k}): {labels[(labels < 0) | (labels >= k)][0]}")
     probs = softmax(logits)
     rows = np.arange(n)
     # true-class probability can underflow to exactly 0 for huge margins; the
     # resulting inf loss is the caller's divergence signal, not an error here
+    picked = probs[rows, labels]
     with np.errstate(divide="ignore"):
-        value = float(-(np.log(probs[rows, labels]).sum() / n))
-    probs[rows, labels] -= 1.0
+        value = float(-(np.log(picked).sum() / n))
+    probs[rows, labels] = picked - 1.0
     probs /= n
     return LossValue(value=value, dlogits=probs)
 

@@ -56,11 +56,16 @@ def evaluate(
     excluded from the macro average. The split's rows come from the
     Dataset's cached ``real_split_indices``. The logits are checked once:
     a network holding NaN or Inf parameters raises NonFiniteError instead of
-    returning the argmax of garbage.
+    returning the argmax of garbage. A ``rare_class_id`` that is not a class
+    id of the dataset (outside ``[0, num_classes)``, a bool or a float) is a
+    ValueError.
     """
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
+    k = dataset.num_classes
     rare = dataset.rare_class_id if rare_class_id is None else rare_class_id
+    if isinstance(rare, bool) or not isinstance(rare, (int, np.integer)) or not 0 <= rare < k:
+        raise ValueError(f"rare_class_id must be a class id in [0, {k}), got {rare!r}")
     idx = dataset.real_split_indices[split]
     if idx.size == 0:
         raise ValueError(f"split {split!r} has no real samples")
@@ -69,7 +74,6 @@ def evaluate(
     require_finite(logits, f"{split} logits")
     preds = np.argmax(logits, axis=1)
     truth = dataset.class_ids[idx]
-    k = dataset.num_classes
     confusion = np.bincount(truth * k + preds, minlength=k * k).reshape(k, k)
     row_totals = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):

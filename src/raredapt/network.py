@@ -231,7 +231,7 @@ class Network:
         g = dout
         for i in reversed(range(len(layers))):
             if activate_last or i < len(layers) - 1:
-                g = g * (trace.act[i] > 0.0).astype(np.float64)
+                g = g * (trace.act[i] > 0.0)
             inp = trace.act[i - 1] if i > 0 else trace.x
             layers[i].gw += inp.T @ g
             layers[i].gb += g.sum(axis=0)

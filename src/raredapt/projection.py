@@ -2,12 +2,12 @@
 
 Features of the last pre-logit layer are projected with plain PCA (mean
 center, eigendecompose the covariance, keep the top components with a
-deterministic sign convention). The projection is exported as a scatter CSV
-plus a static SVG, and a quantified bimodality score replaces eyeballing:
-2-means on the rare class's projected points, scored by balanced accuracy
-against the real/synthetic labels. 0.5 means the domains are mixed, 1.0 means
-they form fully separated clusters. The score is an invented proxy metric,
-not a published quantity.
+deterministic sign convention); ``project_features`` keeps the top two. The
+projection is exported as a scatter CSV plus a static SVG, and a quantified
+bimodality score replaces eyeballing: 2-means on the rare class's projected
+points, scored by balanced accuracy against the real/synthetic labels. 0.5
+means the domains are mixed, 1.0 means they form fully separated clusters.
+The score is an invented proxy metric, not a published quantity.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _KMEANS_STREAM = 30
 
 @dataclass
 class ProjectedFeatures:
-    """2-D (or k-D) coordinates plus the labels needed for inspection plots."""
+    """2-D coordinates plus the labels needed for inspection plots."""
 
     coords: np.ndarray
     class_ids: np.ndarray
@@ -69,20 +69,18 @@ def pca_fit(data: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray
     return components, evals[:n_components], mean
 
 
-def project_features(
-    net: Network, dataset: Dataset, indices: np.ndarray, n_components: int = 2
-) -> ProjectedFeatures:
-    """Project the pre-logit features of the selected samples.
+def project_features(net: Network, dataset: Dataset, indices: np.ndarray) -> ProjectedFeatures:
+    """Project the pre-logit features of the selected samples onto two components.
 
     Correctness flags come from the classifier head's argmax against the true
     class, so the scatter can distinguish hits from misses.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    x = dataset.features[indices]
-    features, _ = net.forward_features(x)
-    logits, _ = net.forward_classifier(features)
+    # [0] drops each forward trace, and with it every hidden activation, at once
+    features = net.forward_features(dataset.features[indices])[0]
+    logits = net.forward_classifier(features)[0]
     class_ids = dataset.class_ids[indices]  # fancy indexing: each column below is a copy
-    components, variances, mean = pca_fit(features, n_components)
+    components, variances, mean = pca_fit(features, 2)
     return ProjectedFeatures(
         coords=(features - mean) @ components,
         class_ids=class_ids,
@@ -109,8 +107,7 @@ def export_scatter(proj: ProjectedFeatures, prefix) -> tuple[str, str]:
     """
     csv_path = f"{prefix}.csv"
     svg_path = f"{prefix}.svg"
-    xs = proj.coords[:, 0]
-    ys = proj.coords[:, 1] if proj.coords.shape[1] > 1 else np.zeros_like(xs)
+    xs, ys = proj.coords.T
     # Python values, which format faster than numpy scalars and the same way
     labels = [a.tolist() for a in (proj.class_ids, proj.domains, proj.splits,
                                    proj.correct.astype(np.int64))]
@@ -190,7 +187,7 @@ def bimodality_score(proj: ProjectedFeatures, rare_class_id: int) -> float:
     if not is_synth.any() or is_synth.all():
         present = "synthetic" if is_synth.any() else "real"
         raise ValueError(f"rare class has only {present} samples; need both domains")
-    points = proj.coords[rare_rows][:, :2]
+    points = proj.coords[rare_rows]
     labels = _two_means(points, make_rng(0, _KMEANS_STREAM))
     best = 0.0
     for synth_cluster in (0, 1):

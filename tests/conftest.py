@@ -11,6 +11,13 @@ from raredapt.network import Network, NetworkSpec
 KINK_MARGIN = 5e-3  # finite differences are invalid within ~h of a ReLU kink
 
 
+# GenSpec fields of a generator with no real/synthetic discrepancy (A = I,
+# b = 0, matched noise) and no location jitter, so real and synthetic rare
+# rows are drawn i.i.d. from one Gaussian
+ZERO_GAP = dict(gap_condition=1.0, gap_rotation=0.0, gap_offset=0.0, gap_noise_factor=1.0,
+                location_jitter=0.0)
+
+
 def tiny_gen_spec(**overrides) -> GenSpec:
     """Small, fast benchmark for unit tests (keeps the 41-sample rare class)."""
     base = dict(

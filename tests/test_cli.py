@@ -11,14 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from raredapt import cli, data as data_module, generate, parallel, save_checkpoint, save_csv
+from raredapt import cli, data as data_module, generate, parallel, save_csv
 from raredapt.checkpoint import MAGIC
 from raredapt.training import CORAL_LAYERS, DISCRIMINATOR_LABELS, TrainConfig, TrainingDiverged
 from raredapt.cli import main
 from raredapt.data import cache_path
 
 from conftest import counting_forks, force_csv_workers, rows_moved, tiny_gen_spec
-from test_checkpoint import make_checkpoint, rewrite_header
+from test_checkpoint import rewrite_header
 from test_data import OUTSIZED_IDS, _write_tiny_with_cell, counting_parses
 
 
@@ -31,9 +31,11 @@ def write_tiny_spec(tmp_path, **fields):
     return spec
 
 
-def write_tiny_csv(tmp_path):
+def write_tiny_csv(tmp_path, **fields):
+    """gen-data on the tiny spec with ``fields`` written over it; returns the CSV."""
     data = tmp_path / "data.csv"
-    assert main(["gen-data", "--spec", str(write_tiny_spec(tmp_path)), "--out", str(data)]) == 0
+    assert main(["gen-data", "--spec", str(write_tiny_spec(tmp_path, **fields)),
+                 "--out", str(data)]) == 0
     return data
 
 
@@ -63,7 +65,8 @@ def usage_error(argv, capsys) -> str:
 
 
 def test_sweep_rejects_duplicate_seeds(tmp_path, capsys):
-    # also negative, unsorted, empty or non-int lists, written as --flag=value
+    # also negative, unsorted or non-int lists and lists with an empty entry
+    # (which would otherwise be dropped silently), written as --flag=value
     # and as a separate argument; each is a usage error raised before the
     # output exists
     data = write_tiny_csv(tmp_path)
@@ -73,7 +76,10 @@ def test_sweep_rejects_duplicate_seeds(tmp_path, capsys):
         (dict(seeds="-1"), "must be >= 0"),
         (dict(counts="-5,0"), "must be >= 0"),
         (dict(counts="50,0"), "counts must be strictly increasing"),
-        (dict(counts=","), "need at least one value"),
+        (dict(counts=","), "empty entry in ','"),
+        (dict(counts="0,,500,"), "argument --counts: empty entry in '0,,500,'"),
+        (dict(seeds=",0"), "argument --seeds: empty entry in ',0'"),
+        (dict(seeds=""), "argument --seeds: empty entry in ''"),
         (dict(seeds="0,x"), "invalid int list"),
     ):
         (flag, value), = kwargs.items()
@@ -630,13 +636,13 @@ def test_run_directory_without_the_file_read_is_one_error(tmp_path, capsys, comm
 
 
 def test_project_without_the_synthetic_pool_has_no_bimodality_score(tmp_path, capsys):
-    data = write_tiny_csv(tmp_path)
+    data = write_tiny_csv(tmp_path, synthetic_pool_size=0)
     run, proj = tmp_path / "run", tmp_path / "proj"
     assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
                  "--epochs", "1", "--batch-size", "32", "--synthetic-count", "0"]) == 0
     capsys.readouterr()
     assert main(["project", "--run", str(run), "--data", str(data), "--split", "trans_test",
-                 "--no-include-synthetic", "--out", str(proj)]) == 0
+                 "--out", str(proj)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("bimodality score unavailable: rare class has only real samples; "
                           "need both domains\n")
@@ -656,22 +662,15 @@ def test_project_unknown_split_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_project_components_out_of_range_fail_before_the_csv_is_read(tmp_path, capsys):
-    # below 1 is a usage error; above the checkpoint's feature dimension (3)
-    # fails right after the checkpoint load. The CSV does not exist, so an
-    # attempt to read it would report a different error.
-    run, out = tmp_path / "run", tmp_path / "proj"
-    run.mkdir()
-    save_checkpoint(make_checkpoint(), run / "checkpoint.ckpt")
-    argv = ["project", "--run", str(run), "--data", str(tmp_path / "missing.csv"),
-            "--split", "trans_test", "--out", str(out), "--components"]
-    with pytest.raises(SystemExit) as info:
-        main(argv + ["0"])
-    assert info.value.code == 2
-    assert "must be >= 1, got 0" in capsys.readouterr().err
-    assert main(argv + ["4"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --components 4 exceeds the feature dimension 3")
+@pytest.mark.parametrize("flag", [["--components", "2"], ["--include-synthetic"],
+                                  ["--no-include-synthetic"]], ids=lambda flag: flag[0])
+def test_project_has_no_component_or_synthetic_pool_switch(tmp_path, capsys, flag):
+    # project always keeps two components of the split plus the synthetic pool
+    out = tmp_path / "proj"
+    err = usage_error(["project", "--run", str(tmp_path / "run"), "--data",
+                       str(tmp_path / "data.csv"), "--split", "trans_test", "--out", str(out),
+                       *flag], capsys)
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
     assert not out.exists()
 
 
@@ -724,7 +723,7 @@ def test_project_output_matches_its_golden_digests(tmp_path):
     assert main(["train", "--data", str(data), "--method", "baseline", "--out", str(run),
                  "--epochs", "2", "--batch-size", "32", "--synthetic-count", "60"]) == 0
     assert main(["project", "--run", str(run), "--data", str(data), "--split", "trans_test",
-                 "--include-synthetic", "--out", str(proj)]) == 0
+                 "--out", str(proj)]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in proj.iterdir()}
     assert digests == PROJECT_GOLDEN
 

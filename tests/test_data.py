@@ -18,7 +18,7 @@ from raredapt.data import (
     DataFormatError, SPLITS, Dataset, _numpy_float, cache_path, synthetic_map
 )
 
-from conftest import counting_forks, force_csv_workers, tiny_gen_spec
+from conftest import ZERO_GAP, counting_forks, force_csv_workers, tiny_gen_spec
 
 
 def test_default_spec_rare_train_count_is_41():
@@ -157,7 +157,7 @@ def test_synthetic_pool_invariants():
 
 
 def test_zero_gap_map_is_identity():
-    spec = GenSpec.zero_gap(feature_dim=6)
+    spec = GenSpec(feature_dim=6, **ZERO_GAP)
     a, b, noise = synthetic_map(spec)
     assert np.allclose(a, np.eye(6), rtol=0, atol=1e-15)
     assert np.array_equal(b, np.zeros(6))
@@ -177,7 +177,8 @@ def test_default_gap_has_requested_condition_and_offset():
 def test_zero_gap_populations_statistically_identical():
     # aggregated two-sample z on the mean difference, all dims pooled
     for seed in range(5):
-        spec = GenSpec.zero_gap(
+        spec = GenSpec(
+            **ZERO_GAP,
             class_count=4,
             rare_class_id=3,
             train_counts=(100, 80, 60, 41),

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raredapt import build_domains, paired_sampler
+from raredapt import build_domains, generate, paired_sampler
 from raredapt.domains import METHODS
+
+from conftest import tiny_gen_spec
 
 
 def test_deerdann_target_size_is_2050_for_41_rare(tiny_dataset):
@@ -57,6 +59,14 @@ def test_synthetic_subset_deterministic_and_bounded(tiny_dataset):
     pool = tiny_dataset.synthetic_indices.size
     with pytest.raises(ValueError, match="pool"):
         build_domains(tiny_dataset, "deerdann", synthetic_count=pool + 1)
+
+
+def test_an_empty_synthetic_pool_gives_a_source_of_the_real_train_rows():
+    # the Dataset's row selectors are read-only, and numpy refuses to shuffle
+    # an empty read-only array in place
+    dataset = generate(tiny_gen_spec(synthetic_pool_size=0))
+    org = build_domains(dataset, "deerdann", synthetic_count=0)
+    assert np.array_equal(org.source_indices, dataset.real_split_indices["train"])
 
 
 def test_build_domains_rejects_unknown_method_and_missing_rare(tiny_dataset):

@@ -38,6 +38,23 @@ def test_cross_entropy_rejects_bad_label():
         cross_entropy(np.zeros((2, 3)), [0, 3])
 
 
+@pytest.mark.parametrize("labels", [[0.5, 2.9], [0.0, 1.0], [True, False],
+                                    np.array([1, 0], dtype=object)])
+def test_cross_entropy_rejects_labels_that_are_not_integers(labels):
+    # a cast would score [0.5, 2.9] as [0, 2] and bools as 0/1
+    with pytest.raises(ValueError, match="^labels must be integers, got dtype "):
+        cross_entropy(np.zeros((2, 3)), labels)
+
+
+def test_cross_entropy_takes_labels_of_any_integer_dtype():
+    logits = make_rng(3).standard_normal((3, 4))
+    want = cross_entropy(logits, [3, 0, 2])
+    for dtype in (np.int64, np.int32, np.uint8):
+        got = cross_entropy(logits, np.array([3, 0, 2], dtype=dtype))
+        assert got.value == want.value
+        assert np.array_equal(got.dlogits, want.dlogits)
+
+
 def test_cross_entropy_gradient_matches_finite_differences():
     rng = make_rng(10)
     for _ in range(10):

@@ -106,6 +106,19 @@ def test_evaluate_rejects_unknown_or_empty_split():
         evaluate(zero_logit_net(), ds, "test")
 
 
+@pytest.mark.parametrize("rare", [-1, 3, 9, True, np.True_, 2.0])
+def test_evaluate_rejects_a_rare_class_id_that_is_not_a_class_id(rare):
+    # the handmade dataset has classes 0..2
+    with pytest.raises(ValueError, match=r"^rare_class_id must be a class id in \[0, 3\), got "):
+        evaluate(zero_logit_net(), handmade_dataset(BASE_COUNTS), "cis_test", rare_class_id=rare)
+
+
+def test_evaluate_accepts_a_numpy_int_rare_class_id():
+    ds = handmade_dataset(BASE_COUNTS)
+    m = evaluate(zero_logit_net(), ds, "cis_test", rare_class_id=np.int64(2))
+    assert m.to_dict() == evaluate(zero_logit_net(), ds, "cis_test", rare_class_id=2).to_dict()
+
+
 def test_evaluate_rejects_non_finite_logits():
     # a NaN parameter must not turn into an argmax over garbage
     net = zero_logit_net()

@@ -49,9 +49,8 @@ def projected(coords, class_ids, domains, splits=None, correct=None) -> Projecte
     )
 
 
-@pytest.mark.parametrize("n_components", [1, 2])
-def test_export_scatter_writes_one_row_and_one_circle_per_point(tmp_path, n_components):
-    coords = make_rng(7).standard_normal((5, n_components))
+def test_export_scatter_writes_one_row_and_one_circle_per_point(tmp_path):
+    coords = make_rng(7).standard_normal((5, 2))
     proj = projected(coords, [0, 1, 3, 3, 3], ["real", "real", "real", "synthetic", "synthetic"],
                      splits=["cis_test", "trans_test", "trans_test", "train", "train"],
                      correct=[True, False, True, True, False])
@@ -60,10 +59,7 @@ def test_export_scatter_writes_one_row_and_one_circle_per_point(tmp_path, n_comp
     with open(csv_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["x"]) for r in rows] == coords[:, 0].tolist()
-    if n_components == 1:
-        assert [r["y"] for r in rows] == ["0.0"] * 5
-    else:
-        assert [float(r["y"]) for r in rows] == coords[:, 1].tolist()
+    assert [float(r["y"]) for r in rows] == coords[:, 1].tolist()
     assert [(r["class_id"], r["domain"], r["split"], r["correct"]) for r in rows] == [
         ("0", "real", "cis_test", "1"),
         ("1", "real", "trans_test", "0"),

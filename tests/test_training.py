@@ -25,6 +25,7 @@ from raredapt.network import NetworkSpec
 from raredapt.training import _Totals, _train_batch
 
 from conftest import (
+    ZERO_GAP,
     batch_pair,
     make_gradcheck_net,
     rows_moved,
@@ -267,19 +268,9 @@ def test_grl_ramp_schedule():
 
 
 def test_discriminator_near_chance_on_zero_gap_control():
-    spec = tiny_gen_spec()  # reuse sizes, but with a zero-gap generator
-    zero = type(spec).zero_gap(
-        class_count=spec.class_count,
-        feature_dim=spec.feature_dim,
-        rare_class_id=spec.rare_class_id,
-        train_counts=spec.train_counts,
-        val_count_per_class=spec.val_count_per_class,
-        test_count_per_class=spec.test_count_per_class,
-        synthetic_pool_size=spec.synthetic_pool_size,
-    )
     accs = []
     for seed in range(3):
-        ds = generate(type(zero)(**{**zero.__dict__, "seed": seed}))
+        ds = generate(tiny_gen_spec(**ZERO_GAP, seed=seed))
         cfg = TrainConfig(
             method="deerdann", epochs=15, synthetic_count=300, batch_size=32, seed=seed
         )
