@@ -46,11 +46,10 @@ error line, and anything else raises with its traceback.
 An undefined (NaN) metric is an empty cell in sweep_<method>.csv and
 comparison.csv, null in JSON, and nan in history.csv.
 
-The sweep runs its cells on W = min(--jobs, cells) forked worker processes,
-worker j taking cells j, j + W, ... in order (see :mod:`raredapt.parallel`);
-each worker loads the dataset with ``load_csv``, from the parsed cache while it
-matches, in its first cell and keeps it for the rest. An unreadable CSV ends
-the sweep with one error and no output directory.
+The sweep loads the dataset once, with ``load_csv``, and then runs its cells on
+W = min(--jobs, cells) forked worker processes that inherit it, worker j taking
+cells j, j + W, ... in order (see :mod:`raredapt.parallel`). An unreadable CSV
+ends the sweep before any fork, with one error and no output directory.
 A malformed --counts/--seeds list or a --jobs below 1 is a usage error (exit
 2): counts and seeds are non-negative ints with no empty entry, seeds
 distinct, counts strictly increasing. So is a compare --runs list with an
@@ -75,7 +74,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import sys
@@ -206,18 +204,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=1)
-def _sweep_dataset(data_path: str) -> Dataset:
-    """The sweep's dataset, loaded by a worker's first cell and kept for the rest."""
-    return load_csv(data_path)
-
-
-def _sweep_run_one(job: tuple[TrainConfig, str, Path]) -> dict | str:
+def _sweep_run_one(job: tuple[TrainConfig, str, Path, Dataset]) -> dict | str:
     """One sweep cell: its ``selected_metrics.json`` payload, or the message of
     a training that diverged or rejected the cell's values. Any other error
-    (an unreadable dataset, a failed write, a bug) raises and ends the sweep."""
-    config, data_path, out = job
-    dataset = _sweep_dataset(data_path)
+    (a failed write, a bug) raises and ends the sweep."""
+    config, data_path, out, dataset = job
     try:
         checkpoint, history = train(dataset, config)
     except (TrainingDiverged, ValueError) as exc:  # this cell's failure: record, keep sweeping
@@ -266,12 +257,14 @@ def _seed_list(text: str) -> list[int]:
 
 def cmd_sweep(args) -> int:
     base = _build_config(TrainConfig, args.config, args, "train config")
+    dataset = load_csv(args.data)  # the forked workers inherit it
     out = Path(args.out)
     jobs = [
         (
             replace(base, synthetic_count=count, seed=seed),
             args.data,
             out / "cells" / f"{args.method}_count{count}_seed{seed}",
+            dataset,
         )
         for count in args.counts
         for seed in args.seeds
@@ -280,7 +273,7 @@ def cmd_sweep(args) -> int:
 
     rows = []
     failures = {}
-    for (config, _, _), result in zip(jobs, results):
+    for (config, *_), result in zip(jobs, results):
         if isinstance(result, str):
             failures[f"count{config.synthetic_count}_seed{config.seed}"] = result
             continue

@@ -552,7 +552,8 @@ def load_csv(path) -> Dataset:
 
 
 def _parse_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no cell rule accepts
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
         if not header_line:
             raise DataFormatError(f"{path}: empty file")

@@ -41,23 +41,28 @@ import numpy as np
 
 
 @functools.cache
-def blas_threads():
-    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
-    loaded, resolved once per process; None if it is not found."""
+def openblas(name: str):
+    """Function ``name`` (``get_num_threads``, without the build's symbol prefix
+    and suffix) of the OpenBLAS that numpy loaded, via ctypes; None if not found."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
-        try:
+        with contextlib.suppress(OSError):  # a file that does not load
             lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-            getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
+            for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+                if (function := getattr(lib, f"{prefix}{name}{suffix}", None)) is not None:
+                    return function
     return None
+
+
+@functools.cache
+def blas_threads():
+    """The ``(get, set)`` thread-count functions of :func:`openblas`, or None."""
+    getter, setter = openblas("get_num_threads"), openblas("set_num_threads")
+    if getter is None or setter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return getter, setter
 
 
 class WorkerDied(RuntimeError):

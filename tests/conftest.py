@@ -1,3 +1,4 @@
+import ctypes
 import os
 from types import SimpleNamespace
 
@@ -32,6 +33,33 @@ def tiny_gen_spec(**overrides) -> GenSpec:
     )
     base.update(overrides)
     return GenSpec(**base)
+
+
+def pytest_report_header(config):
+    """Name the platform the golden digests depend on: numpy's version, the
+    SIMD targets its dispatch enabled (``np.exp`` and ``np.log`` give other
+    last bits under AVX2 than under AVX-512) and OpenBLAS's build and kernel."""
+    lines = [f"numpy {np.__version__}"]
+    try:
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        lines.append(f"numpy dispatch targets: {' '.join(targets) or 'none'}")
+    except Exception as exc:  # the header must never fail the run
+        lines.append(f"numpy dispatch targets: unknown ({type(exc).__name__})")
+    try:
+        found = [parallel.openblas(name) for name in ("get_config", "get_corename")]
+        if None in found:
+            raise LookupError("no OpenBLAS found")
+        for fn in found:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+        config_text, core = (fn().decode("ascii", "replace") for fn in found)
+        lines.append(f"OpenBLAS: {config_text} (core {core})")
+    except Exception as exc:
+        lines.append(f"OpenBLAS: unknown ({type(exc).__name__}: {exc})")
+    return lines
 
 
 @pytest.fixture(autouse=True)

@@ -1,12 +1,14 @@
 import csv
 import dataclasses
 import errno
+import gc
 import hashlib
 import json
 import math
 import os
 import re
 import struct
+import weakref
 from pathlib import Path
 
 import pytest
@@ -112,13 +114,31 @@ def test_sweep_asks_for_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert len(forks) == 2
 
 
-def test_sweep_cells_identical_with_one_and_two_jobs(tmp_path):
+def recording_loads(monkeypatch) -> list:
+    """Patch ``cli.load_csv`` to record, in the returned list, a weak reference
+    to each dataset it returns in this process."""
+    loaded = []
+    real_load = cli.load_csv
+
+    def recording_load(path):
+        dataset = real_load(path)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    monkeypatch.setattr(cli, "load_csv", recording_load)
+    return loaded
+
+
+def test_sweep_cells_identical_with_one_and_two_jobs(tmp_path, monkeypatch):
     data = write_tiny_csv(tmp_path)
     outs = {jobs: tmp_path / f"sweep{jobs}" for jobs in (1, 2)}
+    loaded = recording_loads(monkeypatch)
     for jobs, out in outs.items():
         assert main(sweep_argv(data, out, jobs=jobs)) == 0
         assert not (out / "failures.json").exists()
-        assert cli._sweep_dataset.cache_info().currsize == 0  # parsed in the workers only
+        # loaded once, before the fork, and not kept once the sweep returns
+        gc.collect()
+        assert len(loaded) == 1 and loaded.pop()() is None
     cells = sorted(p.name for p in (outs[1] / "cells").iterdir())
     assert len(cells) == 4
     assert cells == sorted(p.name for p in (outs[2] / "cells").iterdir())
@@ -322,14 +342,18 @@ def test_sweep_ends_on_an_error_that_is_not_the_cells(tmp_path, monkeypatch, cap
     assert not (out / "sweep_deerdann.csv").exists()
 
 
-def test_sweep_unreadable_data_fails_alike_with_one_and_two_jobs(tmp_path, capsys):
+def test_sweep_unreadable_data_fails_alike_with_one_and_two_jobs(tmp_path, capsys, monkeypatch):
     data = write_tiny_csv(tmp_path)
     lines = data.read_text(encoding="utf-8").splitlines()
     lines[1] = "abc" + lines[1][lines[1].index(","):]
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(bad.read_bytes().replace(b"abc", b"\xff"))
+    forks = counting_forks(monkeypatch)
     for path, reason in (
         (bad, f"{bad}: line 2: could not convert string to float: 'abc'"),
+        (not_utf8, f"{not_utf8}: line 2: could not convert string to float: '\\udcff'"),
         (tmp_path / "missing.csv", "No such file or directory"),
     ):
         errors = []
@@ -338,7 +362,7 @@ def test_sweep_unreadable_data_fails_alike_with_one_and_two_jobs(tmp_path, capsy
             assert main(sweep_argv(path, tmp_path / f"sweep{jobs}", jobs=jobs)) == 1
             errors.append(capsys.readouterr().err)
             assert not (tmp_path / f"sweep{jobs}").exists()
-            assert cli._sweep_dataset.cache_info().currsize == 0
+            assert forks == []  # it fails in this process, before any worker starts
         assert errors[0] == errors[1]
         assert errors[0].startswith("error: ") and reason in errors[0]
         assert errors[0].count("\n") == 1

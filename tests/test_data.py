@@ -233,7 +233,9 @@ def test_csv_resave_byte_identical(tmp_path):
 
 
 def _write_rows(path, header, rows):
-    path.write_text("\n".join([",".join(header)] + rows) + "\n", encoding="utf-8")
+    # a lone surrogate "\udcXX" is written as the byte 0xXX, which is not UTF-8
+    path.write_text("\n".join([",".join(header)] + rows) + "\n", encoding="utf-8",
+                    errors="surrogateescape")
 
 
 def _tiny_rows():
@@ -349,6 +351,11 @@ def test_csv_round_trips_any_finite_double_bit_for_bit(tmp_path_factory, values)
     (2, "\u0661", "invalid literal for int() with base 10: '\u0661'"),
     (4, "0_0", "invalid literal for int() with base 10: '0_0'"),
     (4, "\u0661", "invalid literal for int() with base 10: '\u0661'"),
+    # the byte 0xff, which is never UTF-8, in a feature, id, domain and split cell
+    (1, "0.\udcff", "could not convert string to float: '0.\\udcff'"),
+    (2, "\udcff", "invalid literal for int() with base 10: '\\udcff'"),
+    (3, "re\udcffal", "unknown domain token 're\\udcffal'"),
+    (5, "tr\udcffain", "unknown split token 'tr\\udcffain'"),
 ])
 def test_csv_bad_cell_on_a_later_line_names_that_line(tmp_path, column, cell, reason):
     path = tmp_path / "bad.csv"
